@@ -2,33 +2,36 @@
 //!
 //! The paper measures a single client; the [`ComplexObjectStore`] trait
 //! mirrors that with `&mut self` everywhere. Serving N clients from one
-//! buffer pool needs a `&self` read path instead — this module provides it:
+//! buffer pool needs a `&self` surface instead. This module **derives** it
+//! rather than writing it a second time:
 //!
-//! * [`ConcurrentObjectStore`] extends [`ComplexObjectStore`] with `&self`
-//!   retrieval/navigation operations (`shared_get_by_oid`,
-//!   `shared_children_of`, `shared_root_records`) that N threads can call
-//!   concurrently over one store;
+//! * every model store is a cheap handle: its pool is a
+//!   [`SharedPoolHandle`] (an `Arc`) and its loaded database — placement
+//!   snapshot plus load-time metadata — is published behind another `Arc`
+//!   that `load` and `reorganize` swap whole;
+//! * one blanket impl of [`ConcurrentObjectStore`] covers all three model
+//!   types: each `shared_*` op opens a second handle onto the same store
+//!   and runs the model's `&mut` method on it. The pool-only ops (shard
+//!   counters, crash, recovery) go straight to the shared pool;
 //! * [`make_shared_store`] builds any of the five storage models over a
-//!   lock-striped [`SharedBufferPool`](starfish_pagestore::SharedBufferPool)
-//!   with K shards.
+//!   lock-striped [`SharedBufferPool`] with K shards.
+//!
+//! So both surfaces run the *same* op bodies: the query answers, the
+//! buffer-fix counts and the post-flush on-disk bytes of the concurrent
+//! surface are identical to the serial surface's, and only physical reads
+//! and writes may differ with the interleaving
+//! (`tests/concurrent_differential.rs` and
+//! `tests/concurrent_writer_differential.rs` pin those invariants).
 //!
 //! **Updates are concurrent too** (since the latch layer,
-//! [`starfish_pagestore::latch`]): [`ConcurrentObjectStore::shared_update_roots`]
-//! applies root patches from any number of threads over disjoint update
-//! partitions — every model's write path runs under per-page latches
-//! (exclusive group over the object's pages for writers, shared for
-//! multi-page readers), so concurrent readers never observe torn objects
-//! and disjoint-object writers proceed in parallel.
+//! [`starfish_pagestore::latch`]): every model's write path runs under
+//! per-page latches (an exclusive group over the object's pages for
+//! writers, shared for multi-page readers), so concurrent readers never
+//! observe torn objects and disjoint-object writers proceed in parallel.
 //! [`ConcurrentObjectStore::shared_flush`] cooperates with in-flight
-//! writers through the pool's quiesce gate. Only bulk loading stays
-//! `&mut`-single-writer.
-//!
-//! The query *answers*, the buffer-fix counts and the post-flush on-disk
-//! bytes of the concurrent surface are identical to the serial surface's —
-//! only physical reads and writes may differ with the interleaving
-//! (`tests/concurrent_differential.rs` and
-//! `tests/concurrent_writer_differential.rs` pin those invariants, exactly
-//! like the cross-policy differential does for replacement policies).
+//! writers through the pool's quiesce gate, and
+//! [`ConcurrentObjectStore::shared_reorganize`] runs the placement rewrite
+//! inside that gate. Only bulk loading stays `&mut`-single-writer.
 
 use crate::dasdbs_nsm::DasdbsNsmStore;
 use crate::direct::DirectStore;
@@ -36,18 +39,20 @@ use crate::nsm::NsmStore;
 use crate::traits::{ComplexObjectStore, ObjRef, RootPatch};
 use crate::{ModelKind, Result, StoreConfig};
 use starfish_nf2::{Key, Oid, Projection, Tuple};
-use starfish_pagestore::{BufferStats, SharedPoolHandle};
+use starfish_pagestore::{BufferStats, SharedBufferPool, SharedPoolHandle};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-/// A storage model whose retrieval/navigation surface can be shared across
-/// threads (`&self`), on top of the usual exclusive surface.
+/// A store whose query surface can be shared across threads (`&self`), on
+/// top of the usual exclusive surface.
 ///
-/// Implementations exist for every model built by [`make_shared_store`];
-/// the `&self` methods answer exactly like their `&mut` counterparts
+/// Every model built by [`make_shared_store`] gets this trait from one
+/// blanket impl: each `shared_*` method runs its `&mut` twin
 /// ([`ComplexObjectStore::get_by_oid`], [`ComplexObjectStore::children_of`],
-/// [`ComplexObjectStore::root_records`]) and count fixes identically — they
-/// run the same code over a cloned handle to the same shared pool.
+/// …) on a second handle onto the same pool and published database, so it
+/// answers, fails and counts fixes exactly like the twin. A
+/// [`PartitionedStore`](crate::PartitionedStore) implements it by routing
+/// each op to the node that owns the object.
 pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
     /// Query 1a retrieval by OID, callable from N threads concurrently.
     fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple>;
@@ -131,6 +136,81 @@ pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
             model: self.model().paper_name(),
             op: "reorganize (adaptive placement)",
         })
+    }
+}
+
+/// The crate-private half of the derived surface: a model store over a
+/// [`SharedPoolHandle`] that can open a second handle onto itself. The
+/// handle shares the pool and the published database, so running a `&mut`
+/// method on it *is* the `&self` operation.
+pub(crate) trait SharedModel: ComplexObjectStore + Send + Sync + Sized {
+    /// Another handle on this store: same pool, same published database
+    /// (two `Arc` clones).
+    fn handle(&self) -> Self;
+
+    /// The shared pool both handles run on.
+    fn shared_pool(&self) -> &SharedBufferPool;
+}
+
+/// The one `&self` surface of every model: each retrieval, navigation,
+/// update and maintenance op runs the model's `&mut` body on a fresh
+/// handle, and the pool-only ops go straight to the shared pool.
+impl<S: SharedModel> ConcurrentObjectStore for S {
+    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
+        self.handle().get_by_oid(oid, proj)
+    }
+
+    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
+        self.handle().get_by_key(key, proj)
+    }
+
+    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
+        self.handle().scan_all(f)
+    }
+
+    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
+        self.handle().children_of(refs)
+    }
+
+    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
+        self.handle().root_records(refs)
+    }
+
+    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
+        self.handle().update_roots(refs, patch)
+    }
+
+    fn shared_flush(&self) -> Result<()> {
+        self.handle().flush()
+    }
+
+    fn shared_clear_cache(&self) -> Result<()> {
+        self.handle().clear_cache()
+    }
+
+    fn shard_stats(&self) -> Vec<BufferStats> {
+        self.shared_pool().shard_stats()
+    }
+
+    fn simulate_crash(&self) {
+        self.shared_pool().crash_volatile()
+    }
+
+    fn recover(&self) -> Result<usize> {
+        self.shared_pool().recover().map_err(Into::into)
+    }
+
+    fn damage_log_tail(&self, bytes: u32) {
+        self.shared_pool().truncate_log_tail(bytes)
+    }
+
+    fn shared_reorganize(&self) -> Result<crate::placement::ReorgReport> {
+        // The whole copy + swap runs with writers quiesced, so no update
+        // can slip between reading an object and publishing its new home.
+        // Readers keep racing on the old snapshot (shared latches and
+        // plain fixes pass the gate).
+        self.shared_pool()
+            .with_writers_quiesced(|| self.handle().reorganize())
     }
 }
 

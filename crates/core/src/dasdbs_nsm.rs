@@ -17,8 +17,9 @@
 //! kept memory-resident here exactly as the paper keeps it (its accesses are
 //! not counted — §5.1 excludes the address tables from the I/O counts).
 
+use crate::concurrent::SharedModel;
 use crate::object_file::{ObjAddr, ObjectFile};
-use crate::placement::{self, ObjectHeat, PlacementStats, ReorgReport};
+use crate::placement::{self, ObjectHeat, PlacementStats, Published, ReorgReport};
 use crate::traits::{
     apply_station_proj, avg, key_of_oid, per_object, ComplexObjectStore, ObjRef, RelationInfo,
     RootPatch,
@@ -31,10 +32,10 @@ use starfish_nf2::{
 };
 use starfish_pagestore::{
     BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
-    SharedPoolHandle, SimDisk,
+    SharedBufferPool, SharedPoolHandle, SimDisk,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Schema of the flat `DASDBS-NSM-Station` relation.
 pub fn dnsm_station_schema() -> RelSchema {
@@ -134,11 +135,12 @@ struct TransEntry {
     ordinal: usize,
 }
 
-/// Everything a reorganization replaces in one shot: the root heap, the
-/// three nested object files and the transformation table that points into
-/// them. Bundled behind one `Arc` so the adaptive-placement pass can build
-/// a fresh copy off to the side and publish it atomically (racing readers
-/// keep their old `Arc`; the old extents stay on disk, merely orphaned).
+/// One published placement of the DASDBS-NSM database: the root heap, the
+/// three nested object files, the transformation table that points into
+/// them and the load-time metadata. Published whole, so the
+/// adaptive-placement pass can build a fresh copy off to the side and swap
+/// it in atomically (racing readers keep their old `Arc`; the old extents
+/// stay on disk, merely orphaned).
 struct DnsmState {
     station: HeapFile,
     platform: ObjectFile,
@@ -147,6 +149,10 @@ struct DnsmState {
     /// The transformation table: `key → tuple addresses` (memory-resident,
     /// uncounted, exactly like the paper's).
     trans: HashMap<Key, TransEntry>,
+    /// The loaded objects, in OID order.
+    refs: Vec<ObjRef>,
+    /// Encoded bytes of all root tuples (Table 2's `S_tuple`).
+    station_bytes: u64,
 }
 
 /// The DASDBS-NSM store, generic over the buffer pool it runs on
@@ -154,24 +160,11 @@ struct DnsmState {
 /// via [`crate::make_shared_store`]).
 pub struct DasdbsNsmStore<P: PageCache = BufferPool> {
     pool: P,
-    /// Snapshot-swapped by `reorganize`; every op clones the `Arc` out once
-    /// and works against that consistent placement.
-    state: RwLock<Option<Arc<DnsmState>>>,
-    refs: Vec<ObjRef>,
-    station_bytes: u64,
+    state: Published<DnsmState>,
 }
 
-/// Immutable borrows of everything the DASDBS-NSM read paths need besides
-/// the pool (see [`NsmParts`](crate::nsm) for the idea).
-struct DnsmParts<'a> {
-    station: &'a HeapFile,
-    platform: &'a ObjectFile,
-    connection: &'a ObjectFile,
-    sightseeing: &'a ObjectFile,
-    trans: &'a HashMap<Key, TransEntry>,
-}
-
-impl DnsmParts<'_> {
+impl DnsmState {
+    /// The transformation-table entry of `key`.
     fn entry(&self, key: Key) -> Result<TransEntry> {
         self.trans
             .get(&key)
@@ -182,174 +175,19 @@ impl DnsmParts<'_> {
     }
 }
 
-/// Builds [`DnsmParts`] over one placement snapshot.
-fn dnsm_parts(state: &DnsmState) -> DnsmParts<'_> {
-    DnsmParts {
-        station: &state.station,
-        platform: &state.platform,
-        connection: &state.connection,
-        sightseeing: &state.sightseeing,
-        trans: &state.trans,
-    }
-}
-
 /// Reads and reassembles one full object through the transformation table:
 /// four addressed tuple reads (the paper's query-1a path).
-fn materialize_in(parts: &DnsmParts<'_>, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
-    let e = parts.entry(key)?;
-    let root_bytes = parts.station.read(pool, e.station)?;
+fn materialize(state: &DnsmState, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
+    let e = state.entry(key)?;
+    let root_bytes = state.station.read(pool, e.station)?;
     let root = decode(&root_bytes, &dnsm_station_schema())?;
-    let p_bytes = parts.platform.read_full(pool, e.ordinal)?;
+    let p_bytes = state.platform.read_full(pool, e.ordinal)?;
     let platforms = decode(&p_bytes, &dnsm_platform_schema())?;
-    let c_bytes = parts.connection.read_full(pool, e.ordinal)?;
+    let c_bytes = state.connection.read_full(pool, e.ordinal)?;
     let connections = decode(&c_bytes, &dnsm_connection_schema())?;
-    let s_bytes = parts.sightseeing.read_full(pool, e.ordinal)?;
+    let s_bytes = state.sightseeing.read_full(pool, e.ordinal)?;
     let seeings = decode(&s_bytes, &dnsm_sightseeing_schema())?;
-    Ok(DasdbsNsmStore::<BufferPool>::assemble(
-        &root,
-        &platforms,
-        &connections,
-        &seeings,
-    ))
-}
-
-/// Query 1b: "only the root tuple of the object is selected based on a
-/// value selection, whereupon we use the addresses in the index table to
-/// retrieve all other data by address" (§4) — the one key-lookup primitive
-/// behind both surfaces.
-fn get_by_key_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    key: Key,
-    proj: &Projection,
-) -> Result<Tuple> {
-    let mut found = false;
-    parts.station.scan(pool, |_, bytes| {
-        if let Ok(t) = decode(bytes, &dnsm_station_schema()) {
-            if t.attr(0).and_then(Value::as_int) == Some(key) {
-                found = true;
-            }
-        }
-    })?;
-    if !found {
-        return Err(CoreError::NotFound {
-            what: format!("key {key}"),
-        });
-    }
-    let t = materialize_in(parts, pool, key)?;
-    Ok(apply_station_proj(t, proj))
-}
-
-/// Full scan: materialize every object through the transformation table in
-/// `refs` (OID) order — the one scan primitive behind both surfaces.
-fn scan_all_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    for r in refs {
-        let t = materialize_in(parts, pool, r.key)?;
-        f(&t);
-    }
-    Ok(())
-}
-
-/// The DASDBS-NSM navigation step: one nested connection tuple per ref.
-fn children_of_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let schema = dnsm_connection_schema();
-    let mut out = Vec::new();
-    for r in refs {
-        let e = parts.entry(r.key)?;
-        let bytes = parts.connection.read_full(pool, e.ordinal)?;
-        let t = decode(&bytes, &schema)?;
-        if let Some(Value::Rel(groups)) = t.attr(1) {
-            for g in groups {
-                if let Some(Value::Rel(cs)) = g.attr(1) {
-                    for c in cs {
-                        out.push(ObjRef {
-                            key: c.attr(1).and_then(Value::as_int).unwrap_or(0),
-                            oid: c.attr(2).and_then(Value::as_link).unwrap_or(Oid(0)),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The DASDBS-NSM root update over `refs` — shared by the exclusive
-/// (`&mut`) and concurrent (`&self`) surfaces. "With DASDBS-NSM only small
-/// root tuples in the DASDBS-NSM-Station relation are updated, of which
-/// there are many on a single page" (§5.3): each read-modify-write runs
-/// under an exclusive latch on the root tuple's page so concurrent writers
-/// sharing a page serialize without lost updates.
-fn update_roots_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    let schema = dnsm_station_schema();
-    for r in refs {
-        let e = parts.entry(r.key)?;
-        let res = pool.with_latched(&[e.station.page], LatchMode::Exclusive, |pool| {
-            let bytes = parts.station.read(pool, e.station)?;
-            let mut t = decode(&bytes, &schema)?;
-            let old = t.values[3].as_str().map(str::len).unwrap_or(0);
-            if old != patch.new_name.len() {
-                return Err(CoreError::Store(
-                    starfish_pagestore::StoreError::SizeChanged {
-                        old,
-                        new: patch.new_name.len(),
-                    },
-                ));
-            }
-            t.values[3] = Value::Str(patch.new_name.clone());
-            Ok(parts
-                .station
-                .update(pool, e.station, &encode(&t, &schema)?)?)
-        });
-        // Each root RMW is one op: commit (durable on WAL pools) or drop
-        // its buffered images.
-        match res {
-            Ok(()) => pool.log_commit()?,
-            Err(e) => {
-                pool.log_abort();
-                return Err(e);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The DASDBS-NSM root-record read: one addressed root tuple per ref.
-fn root_records_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let schema = dnsm_station_schema();
-    refs.iter()
-        .map(|r| {
-            let e = parts.entry(r.key)?;
-            let bytes = parts.station.read(pool, e.station)?;
-            let t = decode(&bytes, &schema)?;
-            Ok(Tuple::new(vec![
-                t.values[0].clone(),
-                t.values[1].clone(),
-                t.values[2].clone(),
-                t.values[3].clone(),
-                Value::Rel(vec![]),
-                Value::Rel(vec![]),
-            ]))
-        })
-        .collect()
+    Ok(assemble(&root, &platforms, &connections, &seeings))
 }
 
 impl DasdbsNsmStore {
@@ -365,20 +203,14 @@ impl<P: PageCache> DasdbsNsmStore<P> {
     pub fn with_pool(_config: &StoreConfig, pool: P) -> Self {
         DasdbsNsmStore {
             pool,
-            state: RwLock::new(None),
-            refs: Vec::new(),
-            station_bytes: 0,
+            state: Published::empty(),
         }
     }
 
     /// The current placement snapshot (cheap `Arc` clone), or the
     /// empty-database error.
     fn state(&self) -> Result<Arc<DnsmState>> {
-        placement::read_lock(&self.state)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
+        self.state.current()
     }
 
     /// Builds the per-relation nested tuples for one station.
@@ -453,55 +285,61 @@ impl<P: PageCache> DasdbsNsmStore<P> {
         ]);
         (root, platforms, connections, sightseeings)
     }
+}
 
-    /// Reassembles the original nested `Station` tuple from the four
-    /// relation tuples (the join, executed in memory with the addresses from
-    /// the transformation table "to efficiently support the join execution").
-    fn assemble(root: &Tuple, platforms: &Tuple, connections: &Tuple, seeings: &Tuple) -> Tuple {
-        let mut conns_by_parent: HashMap<i32, Vec<Tuple>> = HashMap::new();
-        if let Some(Value::Rel(groups)) = connections.attr(1) {
-            for g in groups {
-                let parent = g.attr(0).and_then(Value::as_int).unwrap_or(0);
-                if let Some(Value::Rel(cs)) = g.attr(1) {
-                    conns_by_parent
-                        .entry(parent)
-                        .or_default()
-                        .extend(cs.iter().cloned());
-                }
+/// Reassembles the original nested `Station` tuple from the four
+/// relation tuples (the join, executed in memory with the addresses from
+/// the transformation table "to efficiently support the join execution").
+fn assemble(root: &Tuple, platforms: &Tuple, connections: &Tuple, seeings: &Tuple) -> Tuple {
+    let mut conns_by_parent: HashMap<i32, Vec<Tuple>> = HashMap::new();
+    if let Some(Value::Rel(groups)) = connections.attr(1) {
+        for g in groups {
+            let parent = g.attr(0).and_then(Value::as_int).unwrap_or(0);
+            if let Some(Value::Rel(cs)) = g.attr(1) {
+                conns_by_parent
+                    .entry(parent)
+                    .or_default()
+                    .extend(cs.iter().cloned());
             }
         }
-        let platform_tuples: Vec<Tuple> = platforms
-            .attr(1)
-            .and_then(Value::as_rel)
-            .unwrap_or(&[])
-            .iter()
-            .map(|p| {
-                let own = p.attr(0).and_then(Value::as_int).unwrap_or(0);
-                let mut vals = p.values[1..].to_vec();
-                vals.push(Value::Rel(conns_by_parent.remove(&own).unwrap_or_default()));
-                Tuple::new(vals)
-            })
-            .collect();
-        let seeing_tuples: Vec<Tuple> = seeings
-            .attr(1)
-            .and_then(Value::as_rel)
-            .unwrap_or(&[])
-            .to_vec();
-        Tuple::new(vec![
-            root.values[0].clone(),
-            root.values[1].clone(),
-            root.values[2].clone(),
-            root.values[3].clone(),
-            Value::Rel(platform_tuples),
-            Value::Rel(seeing_tuples),
-        ])
+    }
+    let platform_tuples: Vec<Tuple> = platforms
+        .attr(1)
+        .and_then(Value::as_rel)
+        .unwrap_or(&[])
+        .iter()
+        .map(|p| {
+            let own = p.attr(0).and_then(Value::as_int).unwrap_or(0);
+            let mut vals = p.values[1..].to_vec();
+            vals.push(Value::Rel(conns_by_parent.remove(&own).unwrap_or_default()));
+            Tuple::new(vals)
+        })
+        .collect();
+    let seeing_tuples: Vec<Tuple> = seeings
+        .attr(1)
+        .and_then(Value::as_rel)
+        .unwrap_or(&[])
+        .to_vec();
+    Tuple::new(vec![
+        root.values[0].clone(),
+        root.values[1].clone(),
+        root.values[2].clone(),
+        root.values[3].clone(),
+        Value::Rel(platform_tuples),
+        Value::Rel(seeing_tuples),
+    ])
+}
+
+impl SharedModel for DasdbsNsmStore<SharedPoolHandle> {
+    fn handle(&self) -> Self {
+        DasdbsNsmStore {
+            pool: self.pool.clone(),
+            state: self.state.clone(),
+        }
     }
 
-    /// Reads and reassembles one full object through the transformation
-    /// table: four addressed tuple reads (the paper's query-1a path).
-    fn materialize(&mut self, key: Key) -> Result<Tuple> {
-        let state = self.state()?;
-        materialize_in(&dnsm_parts(&state), &mut self.pool, key)
+    fn shared_pool(&self) -> &SharedBufferPool {
+        self.pool.pool()
     }
 }
 
@@ -509,11 +347,8 @@ impl<P: PageCache> DasdbsNsmStore<P> {
 /// I/O, the addresses already name every page each object touches. Packed
 /// cost: page-sharing tuples at their relation's current density, spanned
 /// tuples keeping their extents.
-fn dnsm_object_heats(
-    state: &DnsmState,
-    refs: &[ObjRef],
-    heat: &HashMap<PageId, u64>,
-) -> Result<Vec<ObjectHeat>> {
+fn dnsm_object_heats(state: &DnsmState, heat: &HashMap<PageId, u64>) -> Result<Vec<ObjectHeat>> {
+    let refs = &state.refs;
     let st_density = if refs.is_empty() {
         0.0
     } else {
@@ -561,13 +396,10 @@ fn dnsm_object_heats(
 /// files restore ordinal addressing afterwards, so old ordinals — and the
 /// `TransEntry` values racing readers hold — stay valid; the old extents
 /// stay on disk, orphaned.
-fn rebuild_dnsm(
-    state: &DnsmState,
-    refs: &[ObjRef],
-    pool: &mut impl PageCache,
-) -> Result<(DnsmState, ReorgReport)> {
+fn rebuild_dnsm(state: &DnsmState, pool: &mut impl PageCache) -> Result<(DnsmState, ReorgReport)> {
+    let refs = &state.refs;
     let heat = placement::heat_map(pool.page_heat());
-    let objs = dnsm_object_heats(state, refs, &heat)?;
+    let objs = dnsm_object_heats(state, &heat)?;
     let ranking = placement::rank(&objs);
     let before = pool.snapshot();
     let mut st_recs = Vec::with_capacity(refs.len());
@@ -645,6 +477,8 @@ fn rebuild_dnsm(
             connection: co,
             sightseeing: se,
             trans,
+            refs: refs.clone(),
+            station_bytes: state.station_bytes,
         },
         report,
     ))
@@ -660,9 +494,9 @@ impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
         let mut pl_objs = Vec::with_capacity(stations.len());
         let mut co_objs = Vec::with_capacity(stations.len());
         let mut se_objs = Vec::with_capacity(stations.len());
-        self.refs.clear();
+        let mut refs = Vec::with_capacity(stations.len());
         for (i, s) in stations.iter().enumerate() {
-            self.refs.push(ObjRef {
+            refs.push(ObjRef {
                 oid: Oid(i as u32),
                 key: s.key,
             });
@@ -672,7 +506,7 @@ impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
             co_objs.push(encode_with_layout(&connections, &dnsm_connection_schema())?);
             se_objs.push(encode_with_layout(&seeings, &dnsm_sightseeing_schema())?);
         }
-        self.station_bytes = st_recs.iter().map(|r| r.len() as u64).sum();
+        let station_bytes = st_recs.iter().map(|r| r.len() as u64).sum();
         let (st, st_rids) = HeapFile::bulk_load(&mut self.pool, "DASDBS-NSM-Station", &st_recs)?;
         let pl = ObjectFile::bulk_load(&mut self.pool, "DASDBS-NSM-Platform", &pl_objs)?;
         let co = ObjectFile::bulk_load(&mut self.pool, "DASDBS-NSM-Connection", &co_objs)?;
@@ -691,53 +525,154 @@ impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
                 )
             })
             .collect();
-        *placement::write_lock(&self.state) = Some(Arc::new(DnsmState {
+        self.state.publish(DnsmState {
             station: st,
             platform: pl,
             connection: co,
             sightseeing: se,
             trans,
-        }));
+            refs: refs.clone(),
+            station_bytes,
+        });
         self.pool.clear_cache()?;
         self.pool.reset_stats();
-        Ok(self.refs.clone())
+        Ok(refs)
     }
 
     fn object_count(&self) -> usize {
-        self.refs.len()
+        self.state().map_or(0, |st| st.refs.len())
     }
 
     fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let key = key_of_oid(&self.refs, oid)?;
-        let t = self.materialize(key)?;
+        let state = self.state()?;
+        let key = key_of_oid(&state.refs, oid)?;
+        let t = materialize(&state, &mut self.pool, key)?;
         Ok(apply_station_proj(t, proj))
     }
 
+    /// Query 1b: "only the root tuple of the object is selected based on a
+    /// value selection, whereupon we use the addresses in the index table to
+    /// retrieve all other data by address" (§4).
     fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
         let state = self.state()?;
-        get_by_key_in(&dnsm_parts(&state), &mut self.pool, key, proj)
+        let pool = &mut self.pool;
+        let mut found = false;
+        state.station.scan(pool, |_, bytes| {
+            if let Ok(t) = decode(bytes, &dnsm_station_schema()) {
+                if t.attr(0).and_then(Value::as_int) == Some(key) {
+                    found = true;
+                }
+            }
+        })?;
+        if !found {
+            return Err(CoreError::NotFound {
+                what: format!("key {key}"),
+            });
+        }
+        let t = materialize(&state, pool, key)?;
+        Ok(apply_station_proj(t, proj))
     }
 
+    /// Full scan: materialize every object through the transformation
+    /// table in OID order.
     fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let refs = self.refs.clone();
         let state = self.state()?;
-        scan_all_in(&dnsm_parts(&state), &mut self.pool, &refs, f)
+        let pool = &mut self.pool;
+        for r in &state.refs {
+            let t = materialize(&state, pool, r.key)?;
+            f(&t);
+        }
+        Ok(())
     }
 
+    /// The DASDBS-NSM navigation step: one nested connection tuple per ref.
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
         let state = self.state()?;
-        children_of_in(&dnsm_parts(&state), &mut self.pool, refs)
+        let pool = &mut self.pool;
+        let schema = dnsm_connection_schema();
+        let mut out = Vec::new();
+        for r in refs {
+            let e = state.entry(r.key)?;
+            let bytes = state.connection.read_full(pool, e.ordinal)?;
+            let t = decode(&bytes, &schema)?;
+            if let Some(Value::Rel(groups)) = t.attr(1) {
+                for g in groups {
+                    if let Some(Value::Rel(cs)) = g.attr(1) {
+                        for c in cs {
+                            out.push(ObjRef {
+                                key: c.attr(1).and_then(Value::as_int).unwrap_or(0),
+                                oid: c.attr(2).and_then(Value::as_link).unwrap_or(Oid(0)),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
+    /// The DASDBS-NSM root-record read: one addressed root tuple per ref.
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
         let state = self.state()?;
-        root_records_in(&dnsm_parts(&state), &mut self.pool, refs)
+        let pool = &mut self.pool;
+        let schema = dnsm_station_schema();
+        refs.iter()
+            .map(|r| {
+                let e = state.entry(r.key)?;
+                let bytes = state.station.read(pool, e.station)?;
+                let t = decode(&bytes, &schema)?;
+                Ok(Tuple::new(vec![
+                    t.values[0].clone(),
+                    t.values[1].clone(),
+                    t.values[2].clone(),
+                    t.values[3].clone(),
+                    Value::Rel(vec![]),
+                    Value::Rel(vec![]),
+                ]))
+            })
+            .collect()
     }
 
+    /// "With DASDBS-NSM only small root tuples in the DASDBS-NSM-Station
+    /// relation are updated, of which there are many on a single page"
+    /// (§5.3): each read-modify-write runs under an exclusive latch on the
+    /// root tuple's page so concurrent writers sharing a page serialize
+    /// without lost updates.
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
         // The replace-tuple path on the root relation only (§5.3).
         let state = self.state()?;
-        update_roots_in(&dnsm_parts(&state), &mut self.pool, refs, patch)
+        let pool = &mut self.pool;
+        let schema = dnsm_station_schema();
+        for r in refs {
+            let e = state.entry(r.key)?;
+            let res = pool.with_latched(&[e.station.page], LatchMode::Exclusive, |pool| {
+                let bytes = state.station.read(pool, e.station)?;
+                let mut t = decode(&bytes, &schema)?;
+                let old = t.values[3].as_str().map(str::len).unwrap_or(0);
+                if old != patch.new_name.len() {
+                    return Err(CoreError::Store(
+                        starfish_pagestore::StoreError::SizeChanged {
+                            old,
+                            new: patch.new_name.len(),
+                        },
+                    ));
+                }
+                t.values[3] = Value::Str(patch.new_name.clone());
+                Ok(state
+                    .station
+                    .update(pool, e.station, &encode(&t, &schema)?)?)
+            });
+            // Each root RMW is one op: commit (durable on WAL pools) or drop
+            // its buffered images.
+            match res {
+                Ok(()) => pool.log_commit()?,
+                Err(e) => {
+                    pool.log_abort();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -764,10 +699,10 @@ impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
         let Ok(state) = self.state() else {
             return Vec::new();
         };
-        let objects = self.refs.len();
+        let objects = state.refs.len();
         let mut out = Vec::new();
         {
-            let s_tuple = avg(self.station_bytes, objects as u64)
+            let s_tuple = avg(state.station_bytes, objects as u64)
                 + starfish_pagestore::SLOT_ENTRY_SIZE as f64;
             out.push(RelationInfo {
                 name: "DASDBS-NSM-Station".into(),
@@ -812,93 +747,14 @@ impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
         // The transformation table names every page: metadata only, no I/O.
         let state = self.state()?;
         let heat = placement::heat_map(self.pool.page_heat());
-        Ok(placement::rank(&dnsm_object_heats(&state, &self.refs, &heat)?).stats)
+        Ok(placement::rank(&dnsm_object_heats(&state, &heat)?).stats)
     }
 
     fn reorganize(&mut self) -> Result<ReorgReport> {
         let state = self.state()?;
-        let (new_state, report) = rebuild_dnsm(&state, &self.refs, &mut self.pool)?;
-        *placement::write_lock(&self.state) = Some(Arc::new(new_state));
+        let (new_state, report) = rebuild_dnsm(&state, &mut self.pool)?;
+        self.state.publish(new_state);
         Ok(report)
-    }
-}
-
-impl DasdbsNsmStore<SharedPoolHandle> {
-    /// State snapshot plus a cloned pool handle, for `&self` read paths.
-    fn parts_and_handle(&self) -> Result<(Arc<DnsmState>, SharedPoolHandle)> {
-        Ok((self.state()?, self.pool.clone()))
-    }
-}
-
-impl crate::ConcurrentObjectStore for DasdbsNsmStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let key = key_of_oid(&self.refs, oid)?;
-        let (state, mut pool) = self.parts_and_handle()?;
-        let t = materialize_in(&dnsm_parts(&state), &mut pool, key)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        get_by_key_in(&dnsm_parts(&state), &mut pool, key, proj)
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        scan_all_in(&dnsm_parts(&state), &mut pool, &self.refs, f)
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        children_of_in(&dnsm_parts(&state), &mut pool, refs)
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        root_records_in(&dnsm_parts(&state), &mut pool, refs)
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        update_roots_in(&dnsm_parts(&state), &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        // Copy + swap under the writer gate: no root update can slip in
-        // between materializing an object and publishing its new home.
-        // Readers race on the old snapshot (addressed reads are plain fixes
-        // and pass the gate); the pass takes no exclusive latch group (see
-        // the trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_state, report) = rebuild_dnsm(&state, &self.refs, &mut pool)?;
-            *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-            Ok(report)
-        })
     }
 }
 
@@ -1006,7 +862,7 @@ mod tests {
         let mut s = make();
         s.clear_cache().unwrap();
         s.reset_stats();
-        let refs: Vec<ObjRef> = s.refs.clone();
+        let refs: Vec<ObjRef> = s.state().unwrap().refs.clone();
         let recs = s.root_records(&refs).unwrap();
         assert_eq!(recs.len(), 4);
         // All 4 root tuples share the single station page here.

@@ -15,8 +15,9 @@
 //!   also allocates a one-page *page pool* whose pages are written per
 //!   operation — the write-amplification anomaly of §5.3.
 
+use crate::concurrent::SharedModel;
 use crate::object_file::{ObjAddr, ObjectFile, ReadPayload};
-use crate::placement::{self, PlacementStats, ReorgReport};
+use crate::placement::{self, PlacementStats, Published, ReorgReport};
 use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
@@ -24,10 +25,11 @@ use starfish_nf2::{
     decode, decode_projected, encode_with_layout, Key, Oid, Projection, RelSchema, Tuple, Value,
 };
 use starfish_pagestore::{
-    BufferPool, BufferStats, IoSnapshot, LatchMode, PageCache, PageId, SharedPoolHandle, SimDisk,
+    BufferPool, BufferStats, IoSnapshot, LatchMode, PageCache, PageId, SharedBufferPool,
+    SharedPoolHandle, SimDisk,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Shared implementation of the two direct storage models, generic over the
 /// buffer pool it runs on: [`BufferPool`] (the default — every original
@@ -37,20 +39,21 @@ use std::sync::{Arc, RwLock};
 pub struct DirectStore<P: PageCache = BufferPool> {
     /// `false` = DSM, `true` = DASDBS-DSM (header-guided partial reads).
     partial: bool,
-    pool: P,
-    schema: RelSchema,
-    /// The current placement, snapshot-swapped by [`reorganize`]
-    /// (`ComplexObjectStore::reorganize`): every operation clones the `Arc`
-    /// out once, so concurrent readers keep a consistent old placement
-    /// (whose extents stay valid on disk) while a reorganization publishes
-    /// a new one.
-    file: RwLock<Option<Arc<ObjectFile>>>,
-    refs: Vec<ObjRef>,
-    key_to_ord: HashMap<Key, usize>,
-    /// Scratch extent for DASDBS-DSM's `change attribute` page pool.
-    scratch: Option<PageId>,
     /// Sub-tuple-aligned data pages (the wasteful DASDBS layout).
     aligned: bool,
+    pool: P,
+    state: Published<DirectState>,
+}
+
+/// One published placement of the direct database: the object file plus the
+/// load-time metadata that addresses it.
+struct DirectState {
+    file: ObjectFile,
+    schema: RelSchema,
+    /// The loaded objects, in OID order.
+    refs: Vec<ObjRef>,
+    /// Scratch extent for DASDBS-DSM's `change attribute` page pool.
+    scratch: Option<PageId>,
 }
 
 impl DirectStore {
@@ -61,162 +64,178 @@ impl DirectStore {
     }
 }
 
-/// Ordinal of `oid` in a store of `n_objects` objects.
-fn ord_of(n_objects: usize, oid: Oid) -> Result<usize> {
-    let ord = oid.0 as usize;
-    if ord < n_objects {
-        Ok(ord)
-    } else {
-        Err(CoreError::NotFound {
-            what: format!("object {oid}"),
-        })
-    }
-}
-
-/// Reads object `ord` under `proj` using the model's access path — the one
-/// read primitive both the exclusive (`&mut`) and the concurrent (`&self`,
-/// over a cloned shared-pool handle) surfaces are built from.
-///
-/// Spanned (multi-page) objects are read under a **shared group latch** over
-/// their extent, so a concurrent writer replacing the object can never
-/// expose a torn mix of old and new pages; heap residents are single-page
-/// and atomic under the pool's shard mutex already. On the exclusive
-/// [`BufferPool`] the latch is a counted no-op, keeping serial and shared
-/// measurements identical.
-fn read_object_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    proj: &Projection,
-) -> Result<Tuple> {
-    match file.spanned_latch_pages_of(ord)? {
-        Some(pages) => pool.with_latched(&pages, LatchMode::Shared, |pool| {
-            read_object_unlatched(partial, file, schema, pool, ord, proj)
-        }),
-        None => read_object_unlatched(partial, file, schema, pool, ord, proj),
-    }
-}
-
-/// [`read_object_in`] without the latch scope — also the body writers run
-/// inside their own exclusive latch (shared-inside-own-exclusive nests).
-fn read_object_unlatched(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    proj: &Projection,
-) -> Result<Tuple> {
-    if partial && !proj.is_all() {
-        match file.read_projected(pool, ord, |l| proj.byte_ranges(l))? {
-            ReadPayload::Full(bytes) => {
-                let t = decode(&bytes, schema)?;
-                Ok(proj.apply(&t, schema))
-            }
-            ReadPayload::Sparse(bytes, layout) => {
-                Ok(decode_projected(&bytes, schema, &layout, proj)?)
-            }
-        }
-    } else {
-        // DSM (or a full-projection read): materialize everything.
-        let bytes = file.read_full(pool, ord)?;
-        let t = decode(&bytes, schema)?;
-        Ok(if proj.is_all() {
-            t
+impl DirectState {
+    /// Ordinal of `oid`.
+    fn ord_of(&self, oid: Oid) -> Result<usize> {
+        let ord = oid.0 as usize;
+        if ord < self.refs.len() {
+            Ok(ord)
         } else {
-            proj.apply(&t, schema)
-        })
-    }
-}
-
-/// The navigation step over the direct layout: children references of each
-/// of `refs`, in order, duplicates preserved.
-fn children_of_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let proj = proj_navigation();
-    let mut out = Vec::new();
-    for r in refs {
-        let ord = ord_of(n_objects, r.oid)?;
-        let t = read_object_in(partial, file, schema, pool, ord, &proj)?;
-        out.extend(
-            child_refs(&t)
-                .into_iter()
-                .map(|(key, oid)| ObjRef { oid, key }),
-        );
-    }
-    Ok(out)
-}
-
-/// Value selection without an index: set-oriented scan materializing every
-/// object, keeping the last key match (Table 3: query 1b costs the whole
-/// relation) — the one key-lookup primitive behind both surfaces.
-fn get_by_key_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    key: Key,
-    proj: &Projection,
-) -> Result<Tuple> {
-    let mut found = None;
-    for ord in 0..n_objects {
-        let t = read_object_in(partial, file, schema, pool, ord, &Projection::All)?;
-        if t.attr(attr::KEY).and_then(Value::as_int) == Some(key) {
-            found = Some(t);
+            Err(CoreError::NotFound {
+                what: format!("object {oid}"),
+            })
         }
     }
-    let t = found.ok_or_else(|| CoreError::NotFound {
-        what: format!("key {key}"),
-    })?;
-    Ok(if proj.is_all() {
-        t
-    } else {
-        proj.apply(&t, schema)
-    })
-}
 
-/// Full scan in OID order, materializing every object — the one scan
-/// primitive behind both surfaces.
-fn scan_all_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    for ord in 0..n_objects {
-        let t = read_object_in(partial, file, schema, pool, ord, &Projection::All)?;
-        f(&t);
+    /// Reads object `ord` under `proj` using the model's access path — the
+    /// one read primitive every operation is built from.
+    ///
+    /// Spanned (multi-page) objects are read under a **shared group latch**
+    /// over their extent, so a concurrent writer replacing the object can
+    /// never expose a torn mix of old and new pages; heap residents are
+    /// single-page and atomic under the pool's shard mutex already. On the
+    /// exclusive [`BufferPool`] the latch is a counted no-op, keeping serial
+    /// and shared measurements identical.
+    fn read(
+        &self,
+        partial: bool,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        match self.file.spanned_latch_pages_of(ord)? {
+            Some(pages) => pool.with_latched(&pages, LatchMode::Shared, |pool| {
+                self.read_unlatched(partial, pool, ord, proj)
+            }),
+            None => self.read_unlatched(partial, pool, ord, proj),
+        }
     }
-    Ok(())
+
+    /// [`Self::read`] without the latch scope — also the body writers run
+    /// inside their own exclusive latch (shared-inside-own-exclusive nests).
+    fn read_unlatched(
+        &self,
+        partial: bool,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        let schema = &self.schema;
+        if partial && !proj.is_all() {
+            match self
+                .file
+                .read_projected(pool, ord, |l| proj.byte_ranges(l))?
+            {
+                ReadPayload::Full(bytes) => {
+                    let t = decode(&bytes, schema)?;
+                    Ok(proj.apply(&t, schema))
+                }
+                ReadPayload::Sparse(bytes, layout) => {
+                    Ok(decode_projected(&bytes, schema, &layout, proj)?)
+                }
+            }
+        } else {
+            // DSM (or a full-projection read): materialize everything.
+            let bytes = self.file.read_full(pool, ord)?;
+            let t = decode(&bytes, schema)?;
+            Ok(if proj.is_all() {
+                t
+            } else {
+                proj.apply(&t, schema)
+            })
+        }
+    }
+
+    /// DSM update path: replace the entire nested tuple, read-modify-write
+    /// under one **exclusive group latch** over the object's pages so
+    /// disjoint objects update in parallel while readers of this object
+    /// wait.
+    fn replace_tuple(
+        &self,
+        pool: &mut impl PageCache,
+        ord: usize,
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let pages = self.file.latch_pages_of(ord)?;
+        let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
+            let full = self.read(false, pool, ord, &Projection::All)?;
+            let mut station = Station::from_tuple(&full)?;
+            if station.name.len() != patch.new_name.len() {
+                return Err(CoreError::Store(
+                    starfish_pagestore::StoreError::SizeChanged {
+                        old: station.name.len(),
+                        new: patch.new_name.len(),
+                    },
+                ));
+            }
+            station.name = patch.new_name.clone();
+            let (bytes, layout) = encode_with_layout(&station.to_tuple(), &self.schema)?;
+            self.file.rewrite_full(pool, ord, &bytes, &layout)
+        });
+        commit_or_abort(pool, res)
+    }
+
+    /// DASDBS-DSM update path: `change attribute` on `Name` + page-pool
+    /// write, under one exclusive group latch over the object's pages.
+    fn change_attribute(
+        &self,
+        pool: &mut impl PageCache,
+        ord: usize,
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let file = &self.file;
+        let scratch = self.scratch.expect("allocated at load");
+        let pages = file.latch_pages_of(ord)?;
+        let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
+            let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
+            let layout = match file.read_projected(pool, ord, |l| name_proj.byte_ranges(l))? {
+                ReadPayload::Sparse(bytes, layout) => {
+                    // Validate length via the stored attribute range.
+                    let range = layout.attrs[attr::NAME].range();
+                    let old_len = (range.end - range.start) as usize - 2;
+                    if old_len != patch.new_name.len() {
+                        return Err(CoreError::Store(
+                            starfish_pagestore::StoreError::SizeChanged {
+                                old: old_len,
+                                new: patch.new_name.len(),
+                            },
+                        ));
+                    }
+                    let _ = bytes;
+                    layout
+                }
+                ReadPayload::Full(bytes) => {
+                    // Heap resident: recompute the layout from the decoded
+                    // tuple.
+                    let t = decode(&bytes, &self.schema)?;
+                    let name = t
+                        .attr(attr::NAME)
+                        .and_then(Value::as_str)
+                        .unwrap_or_default();
+                    if name.len() != patch.new_name.len() {
+                        return Err(CoreError::Store(
+                            starfish_pagestore::StoreError::SizeChanged {
+                                old: name.len(),
+                                new: patch.new_name.len(),
+                            },
+                        ));
+                    }
+                    let (_, layout) = encode_with_layout(&t, &self.schema)?;
+                    layout
+                }
+            };
+            let range = layout.attrs[attr::NAME].range();
+            file.patch_range(pool, ord, range, &encode_name(&patch.new_name))?;
+            // The page pool: every change-attribute operation allocates a
+            // pool "of which all pages are written ... even though the page
+            // pool is only a single page in size" (§5.3).
+            pool.write_pool_pages(scratch, 1)?;
+            Ok(())
+        });
+        commit_or_abort(pool, res)
+    }
 }
 
-/// The root records (atomic attributes) of `refs`.
-fn root_records_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let proj = proj_root_record();
-    refs.iter()
-        .map(|r| {
-            let ord = ord_of(n_objects, r.oid)?;
-            read_object_in(partial, file, schema, pool, ord, &proj)
-        })
-        .collect()
+/// The op boundary of an update: make it durable (WAL pools flush or
+/// group-commit here; everything else no-ops), or drop its buffered images.
+fn commit_or_abort(pool: &mut impl PageCache, res: Result<()>) -> Result<()> {
+    match res {
+        Ok(()) => Ok(pool.log_commit()?),
+        Err(e) => {
+            pool.log_abort();
+            Err(e)
+        }
+    }
 }
 
 /// Encodes a replacement for an encoded `Str` attribute region. The new
@@ -228,188 +247,34 @@ fn encode_name(new_name: &str) -> Vec<u8> {
     v
 }
 
-/// DSM update path: replace the entire nested tuple, read-modify-write
-/// under one **exclusive group latch** over the object's pages so disjoint
-/// objects update in parallel while readers of this object wait.
-fn replace_tuple_in(
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    patch: &RootPatch,
-) -> Result<()> {
-    let pages = file.latch_pages_of(ord)?;
-    let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-        let full = read_object_in(false, file, schema, pool, ord, &Projection::All)?;
-        let mut station = Station::from_tuple(&full)?;
-        if station.name.len() != patch.new_name.len() {
-            return Err(CoreError::Store(
-                starfish_pagestore::StoreError::SizeChanged {
-                    old: station.name.len(),
-                    new: patch.new_name.len(),
-                },
-            ));
-        }
-        station.name = patch.new_name.clone();
-        let (bytes, layout) = encode_with_layout(&station.to_tuple(), schema)?;
-        file.rewrite_full(pool, ord, &bytes, &layout)
-    });
-    // The op boundary: make the update durable (WAL pools flush or group-
-    // commit here; everything else no-ops), or drop its buffered images.
-    match res {
-        Ok(v) => {
-            pool.log_commit()?;
-            Ok(v)
-        }
-        Err(e) => {
-            pool.log_abort();
-            Err(e)
-        }
-    }
-}
-
-/// DASDBS-DSM update path: `change attribute` on `Name` + page-pool write,
-/// under one exclusive group latch over the object's pages.
-fn change_attribute_in(
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    scratch: PageId,
-    ord: usize,
-    patch: &RootPatch,
-) -> Result<()> {
-    let pages = file.latch_pages_of(ord)?;
-    let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-        let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
-        let layout = match file.read_projected(pool, ord, |l| name_proj.byte_ranges(l))? {
-            ReadPayload::Sparse(bytes, layout) => {
-                // Validate length via the stored attribute range.
-                let range = layout.attrs[attr::NAME].range();
-                let old_len = (range.end - range.start) as usize - 2;
-                if old_len != patch.new_name.len() {
-                    return Err(CoreError::Store(
-                        starfish_pagestore::StoreError::SizeChanged {
-                            old: old_len,
-                            new: patch.new_name.len(),
-                        },
-                    ));
-                }
-                let _ = bytes;
-                layout
-            }
-            ReadPayload::Full(bytes) => {
-                // Heap resident: recompute the layout from the decoded tuple.
-                let t = decode(&bytes, schema)?;
-                let name = t
-                    .attr(attr::NAME)
-                    .and_then(Value::as_str)
-                    .unwrap_or_default();
-                if name.len() != patch.new_name.len() {
-                    return Err(CoreError::Store(
-                        starfish_pagestore::StoreError::SizeChanged {
-                            old: name.len(),
-                            new: patch.new_name.len(),
-                        },
-                    ));
-                }
-                let (_, layout) = encode_with_layout(&t, schema)?;
-                layout
-            }
-        };
-        let range = layout.attrs[attr::NAME].range();
-        file.patch_range(pool, ord, range, &encode_name(&patch.new_name))?;
-        // The page pool: every change-attribute operation allocates a pool
-        // "of which all pages are written ... even though the page pool is
-        // only a single page in size" (§5.3).
-        pool.write_pool_pages(scratch, 1)?;
-        Ok(())
-    });
-    match res {
-        Ok(v) => {
-            pool.log_commit()?;
-            Ok(v)
-        }
-        Err(e) => {
-            pool.log_abort();
-            Err(e)
-        }
-    }
-}
-
-/// Immutable borrows of everything the direct models' update path needs
-/// besides the pool — the write-side analogue of `NsmParts`.
-struct DirectUpdateParts<'a> {
-    /// `true` = DASDBS-DSM (`change attribute`), `false` = DSM (replace).
-    partial: bool,
-    file: &'a ObjectFile,
-    schema: &'a RelSchema,
-    n_objects: usize,
-    /// DASDBS-DSM's page-pool scratch extent.
-    scratch: Option<PageId>,
-}
-
-/// The direct models' root update over `refs` — the one write primitive
-/// both the exclusive (`&mut`) and the concurrent (`&self`) surfaces run.
-fn update_roots_in(
-    parts: &DirectUpdateParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    for r in refs {
-        let ord = ord_of(parts.n_objects, r.oid)?;
-        if parts.partial {
-            // "With DASDBS-DSM ... we cannot replace the entire tuple
-            // since for each tuple only those pages are retrieved that
-            // are actually needed. Therefore the update has been
-            // implemented as a 'change attribute' operation" (§5.3).
-            change_attribute_in(
-                parts.file,
-                parts.schema,
-                pool,
-                parts.scratch.expect("allocated at load"),
-                ord,
-                patch,
-            )?;
-        } else {
-            replace_tuple_in(parts.file, parts.schema, pool, ord, patch)?;
-        }
-    }
-    Ok(())
-}
-
 impl<P: PageCache> DirectStore<P> {
     /// Creates an empty direct store over an externally built pool.
     pub fn with_pool(partial: bool, config: &StoreConfig, pool: P) -> Self {
         DirectStore {
             partial,
-            pool,
-            schema: starfish_nf2::station::station_schema(),
-            file: RwLock::new(None),
-            refs: Vec::new(),
-            key_to_ord: HashMap::new(),
-            scratch: None,
             aligned: config.aligned_subtuples,
+            pool,
+            state: Published::empty(),
         }
     }
 
     /// The current placement snapshot (cheap `Arc` clone).
-    fn file(&self) -> Result<Arc<ObjectFile>> {
-        placement::read_lock(&self.file)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
+    fn state(&self) -> Result<Arc<DirectState>> {
+        self.state.current()
+    }
+}
+
+impl SharedModel for DirectStore<SharedPoolHandle> {
+    fn handle(&self) -> Self {
+        DirectStore {
+            pool: self.pool.clone(),
+            state: self.state.clone(),
+            ..*self
+        }
     }
 
-    fn ord_of_oid(&self, oid: Oid) -> Result<usize> {
-        ord_of(self.refs.len(), oid)
-    }
-
-    /// Reads object `ord` under `proj` using the model's access path.
-    fn read_object(&mut self, ord: usize, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        read_object_in(self.partial, &file, &self.schema, &mut self.pool, ord, proj)
+    fn shared_pool(&self) -> &SharedBufferPool {
+        self.pool.pool()
     }
 }
 
@@ -448,11 +313,11 @@ fn direct_object_heats(
 /// keep their meaning. The old extents are simply orphaned on disk —
 /// concurrent readers holding the old snapshot stay correct.
 fn rebuild_direct(
-    file: &ObjectFile,
-    schema: &RelSchema,
+    state: &DirectState,
     pool: &mut impl PageCache,
     aligned: bool,
-) -> Result<(ObjectFile, ReorgReport)> {
+) -> Result<(DirectState, ReorgReport)> {
+    let (file, schema) = (&state.file, &state.schema);
     let heat = placement::heat_map(pool.page_heat());
     let objs = direct_object_heats(file, &heat)?;
     let ranking = placement::rank(&objs);
@@ -491,7 +356,13 @@ fn rebuild_direct(
         pages_read: spent.pages_read,
         pages_written: spent.pages_written,
     };
-    Ok((new_file, report))
+    let new_state = DirectState {
+        file: new_file,
+        schema: schema.clone(),
+        refs: state.refs.clone(),
+        scratch: state.scratch,
+    };
+    Ok((new_state, report))
 }
 
 impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
@@ -504,105 +375,117 @@ impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
     }
 
     fn load(&mut self, stations: &[Station]) -> Result<Vec<ObjRef>> {
+        let schema = starfish_nf2::station::station_schema();
         let mut payloads = Vec::with_capacity(stations.len());
-        self.refs.clear();
-        self.key_to_ord.clear();
+        let mut refs = Vec::with_capacity(stations.len());
         for (i, s) in stations.iter().enumerate() {
-            payloads.push(encode_with_layout(&s.to_tuple(), &self.schema)?);
-            self.refs.push(ObjRef {
+            payloads.push(encode_with_layout(&s.to_tuple(), &schema)?);
+            refs.push(ObjRef {
                 oid: Oid(i as u32),
                 key: s.key,
             });
-            self.key_to_ord.insert(s.key, i);
         }
         let name = if self.partial {
             "DASDBS-DSM-Station"
         } else {
             "DSM-Station"
         };
-        *placement::write_lock(&self.file) = Some(Arc::new(ObjectFile::bulk_load_opts(
-            &mut self.pool,
-            name,
-            &payloads,
-            self.aligned,
-        )?));
-        if self.partial {
-            self.scratch = Some(self.pool.alloc_extent(1));
-        }
+        let file = ObjectFile::bulk_load_opts(&mut self.pool, name, &payloads, self.aligned)?;
+        let scratch = self.partial.then(|| self.pool.alloc_extent(1));
+        self.state.publish(DirectState {
+            file,
+            schema,
+            refs: refs.clone(),
+            scratch,
+        });
         self.pool.clear_cache()?;
         self.pool.reset_stats();
-        Ok(self.refs.clone())
+        Ok(refs)
     }
 
     fn object_count(&self) -> usize {
-        self.refs.len()
+        self.state().map_or(0, |st| st.refs.len())
     }
 
     fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let ord = self.ord_of_oid(oid)?;
-        self.file()?;
-        self.read_object(ord, proj)
+        let st = self.state()?;
+        let ord = st.ord_of(oid)?;
+        st.read(self.partial, &mut self.pool, ord, proj)
     }
 
+    /// Value selection without an index: set-oriented scan materializing
+    /// every object, keeping the last key match (Table 3: query 1b costs the
+    /// whole relation).
     fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        get_by_key_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            key,
-            proj,
-        )
+        let st = self.state()?;
+        let mut found = None;
+        for ord in 0..st.refs.len() {
+            let t = st.read(self.partial, &mut self.pool, ord, &Projection::All)?;
+            if t.attr(attr::KEY).and_then(Value::as_int) == Some(key) {
+                found = Some(t);
+            }
+        }
+        let t = found.ok_or_else(|| CoreError::NotFound {
+            what: format!("key {key}"),
+        })?;
+        Ok(if proj.is_all() {
+            t
+        } else {
+            proj.apply(&t, &st.schema)
+        })
     }
 
     fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let file = self.file()?;
-        scan_all_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            f,
-        )
+        let st = self.state()?;
+        for ord in 0..st.refs.len() {
+            let t = st.read(self.partial, &mut self.pool, ord, &Projection::All)?;
+            f(&t);
+        }
+        Ok(())
     }
 
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let file = self.file()?;
-        children_of_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            refs,
-        )
+        let st = self.state()?;
+        let proj = proj_navigation();
+        let mut out = Vec::new();
+        for r in refs {
+            let ord = st.ord_of(r.oid)?;
+            let t = st.read(self.partial, &mut self.pool, ord, &proj)?;
+            out.extend(
+                child_refs(&t)
+                    .into_iter()
+                    .map(|(key, oid)| ObjRef { oid, key }),
+            );
+        }
+        Ok(out)
     }
 
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let file = self.file()?;
-        root_records_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            refs,
-        )
+        let st = self.state()?;
+        let proj = proj_root_record();
+        refs.iter()
+            .map(|r| {
+                let ord = st.ord_of(r.oid)?;
+                st.read(self.partial, &mut self.pool, ord, &proj)
+            })
+            .collect()
     }
 
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let file = self.file()?;
-        let parts = DirectUpdateParts {
-            partial: self.partial,
-            file: &file,
-            schema: &self.schema,
-            n_objects: self.refs.len(),
-            scratch: self.scratch,
-        };
-        update_roots_in(&parts, &mut self.pool, refs, patch)
+        let st = self.state()?;
+        for r in refs {
+            let ord = st.ord_of(r.oid)?;
+            if self.partial {
+                // "With DASDBS-DSM ... we cannot replace the entire tuple
+                // since for each tuple only those pages are retrieved that
+                // are actually needed. Therefore the update has been
+                // implemented as a 'change attribute' operation" (§5.3).
+                st.change_attribute(&mut self.pool, ord, patch)?;
+            } else {
+                st.replace_tuple(&mut self.pool, ord, patch)?;
+            }
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -626,9 +509,10 @@ impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
     }
 
     fn relation_info(&self) -> Vec<RelationInfo> {
-        let Ok(file) = self.file() else {
+        let Ok(st) = self.state() else {
             return Vec::new();
         };
+        let file = &st.file;
         let total = file.len() as u64;
         vec![RelationInfo {
             name: file.name().to_string(),
@@ -657,130 +541,16 @@ impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
     }
 
     fn placement_stats(&mut self) -> Result<PlacementStats> {
-        let file = self.file()?;
+        let st = self.state()?;
         let heat = placement::heat_map(self.pool.page_heat());
-        Ok(placement::rank(&direct_object_heats(&file, &heat)?).stats)
+        Ok(placement::rank(&direct_object_heats(&st.file, &heat)?).stats)
     }
 
     fn reorganize(&mut self) -> Result<ReorgReport> {
-        let file = self.file()?;
-        let (new_file, report) = rebuild_direct(&file, &self.schema, &mut self.pool, self.aligned)?;
-        *placement::write_lock(&self.file) = Some(Arc::new(new_file));
+        let st = self.state()?;
+        let (new_state, report) = rebuild_direct(&st, &mut self.pool, self.aligned)?;
+        self.state.publish(new_state);
         Ok(report)
-    }
-}
-
-impl crate::ConcurrentObjectStore for DirectStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        let ord = self.ord_of_oid(oid)?;
-        let mut pool = self.pool.clone();
-        read_object_in(self.partial, &file, &self.schema, &mut pool, ord, proj)
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        get_by_key_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            key,
-            proj,
-        )
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        scan_all_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            f,
-        )
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        children_of_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        root_records_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let file = self.file()?;
-        let parts = DirectUpdateParts {
-            partial: self.partial,
-            file: &file,
-            schema: &self.schema,
-            n_objects: self.refs.len(),
-            scratch: self.scratch,
-        };
-        let mut pool = self.pool.clone();
-        update_roots_in(&parts, &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        // The whole copy + swap runs with writers quiesced, so no update
-        // can slip between reading an object and publishing its new home.
-        // Readers keep racing on the old snapshot (shared latches and
-        // plain fixes pass the gate); the pass itself takes no exclusive
-        // latch group (see the trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_file, report) = rebuild_direct(&file, &self.schema, &mut pool, self.aligned)?;
-            *placement::write_lock(&self.file) = Some(Arc::new(new_file));
-            Ok(report)
-        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! # starfish-core — the four complex-object storage models
+//! # starfish-core — the five complex-object storage models
 //!
 //! Implements §3 of the ICDE 1993 paper behind one trait,
 //! [`ComplexObjectStore`]:

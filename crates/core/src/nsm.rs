@@ -18,7 +18,8 @@
 //! memory-resident map `key → RIDs` lets NSM read a page "then and only then
 //! if a tuple it stores is requested" (§4).
 
-use crate::placement::{self, ObjectHeat, PlacementStats, ReorgReport};
+use crate::concurrent::SharedModel;
+use crate::placement::{self, ObjectHeat, PlacementStats, Published, ReorgReport};
 use crate::traits::{
     apply_station_proj, avg, key_of_oid, per_object, ComplexObjectStore, ObjRef, RelationInfo,
     RootPatch,
@@ -30,10 +31,10 @@ use starfish_nf2::{
 };
 use starfish_pagestore::{
     BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
-    SharedPoolHandle, SimDisk,
+    SharedBufferPool, SharedPoolHandle, SimDisk,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Flat schema of `NSM-Station`.
 pub fn nsm_station_schema() -> RelSchema {
@@ -102,16 +103,17 @@ struct ObjRids {
     sightseeings: Vec<Rid>,
 }
 
+#[derive(Clone)]
 struct RelationBytes {
     total_bytes: u64,
     count: u64,
 }
 
-/// Everything a reorganization replaces in one shot: the four heap files
-/// plus the address tables that point into them. Bundled behind one
-/// `Arc` so the adaptive-placement pass can build a fresh copy off to the
-/// side and publish it atomically (racing readers keep their old `Arc`;
-/// the old extents stay on disk, merely orphaned).
+/// One published placement of the NSM database: the four heap files, the
+/// address tables that point into them and the load-time metadata.
+/// Published whole, so the adaptive-placement pass can build a fresh copy
+/// off to the side and swap it in atomically (racing readers keep their
+/// old `Arc`; the old extents stay on disk, merely orphaned).
 struct NsmState {
     station: HeapFile,
     platform: HeapFile,
@@ -123,6 +125,9 @@ struct NsmState {
     station_rids: HashMap<Key, Rid>,
     /// NSM+index only: `key → RIDs of all the object's tuples`.
     index: HashMap<Key, ObjRids>,
+    /// The loaded objects, in OID order.
+    refs: Vec<ObjRef>,
+    sizes: Vec<RelationBytes>,
 }
 
 /// The NSM store (pure or indexed), generic over the buffer pool it runs
@@ -131,35 +136,7 @@ struct NsmState {
 pub struct NsmStore<P: PageCache = BufferPool> {
     indexed: bool,
     pool: P,
-    /// Snapshot-swapped by `reorganize`; every op clones the `Arc` out once
-    /// and works against that consistent placement.
-    state: RwLock<Option<Arc<NsmState>>>,
-    refs: Vec<ObjRef>,
-    sizes: Vec<RelationBytes>,
-}
-
-/// Immutable borrows of everything the NSM read paths need besides the
-/// pool — split out so the same code serves the exclusive (`&mut self`)
-/// and concurrent (`&self` plus a cloned pool handle) surfaces.
-struct NsmParts<'a> {
-    indexed: bool,
-    station: &'a HeapFile,
-    platform: &'a HeapFile,
-    connection: &'a HeapFile,
-    sightseeing: &'a HeapFile,
-    index: &'a HashMap<Key, ObjRids>,
-}
-
-/// Builds [`NsmParts`] over one placement snapshot.
-fn nsm_parts(indexed: bool, state: &NsmState) -> NsmParts<'_> {
-    NsmParts {
-        indexed,
-        station: &state.station,
-        platform: &state.platform,
-        connection: &state.connection,
-        sightseeing: &state.sightseeing,
-        index: &state.index,
-    }
+    state: Published<NsmState>,
 }
 
 impl NsmStore {
@@ -176,72 +153,32 @@ impl<P: PageCache> NsmStore<P> {
         NsmStore {
             indexed,
             pool,
-            state: RwLock::new(None),
-            refs: Vec::new(),
-            sizes: Vec::new(),
+            state: Published::empty(),
         }
     }
 
     /// The current placement snapshot (cheap `Arc` clone), or the
     /// empty-database error.
     fn state(&self) -> Result<Arc<NsmState>> {
-        placement::read_lock(&self.state)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
+        self.state.current()
     }
 }
 
-/// The NSM root update over `refs` — the one write primitive both the
-/// exclusive (`&mut`) and the concurrent (`&self`) surfaces run. Each root
-/// record's read-modify-write happens under an **exclusive latch** on its
-/// page, so concurrent writers on root records sharing a page serialize and
-/// never lose updates (root tuples are small — "there are many on a single
-/// page", §5.3).
-fn update_roots_in(
-    station: &HeapFile,
-    station_rids: &HashMap<Key, Rid>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    let schema = nsm_station_schema();
-    for r in refs {
-        let rid = *station_rids
-            .get(&r.key)
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {}", r.key),
-            })?;
-        let res = pool.with_latched(&[rid.page], LatchMode::Exclusive, |pool| {
-            let bytes = station.read(pool, rid)?;
-            let mut t = decode(&bytes, &schema)?;
-            let old = t.values[3].as_str().map(str::len).unwrap_or(0);
-            if old != patch.new_name.len() {
-                return Err(CoreError::Store(
-                    starfish_pagestore::StoreError::SizeChanged {
-                        old,
-                        new: patch.new_name.len(),
-                    },
-                ));
-            }
-            t.values[3] = Value::Str(patch.new_name.clone());
-            Ok(station.update(pool, rid, &encode(&t, &schema)?)?)
-        });
-        // Each root RMW is one op: commit (durable on WAL pools) or drop
-        // its buffered images.
-        match res {
-            Ok(()) => pool.log_commit()?,
-            Err(e) => {
-                pool.log_abort();
-                return Err(e);
-            }
+impl SharedModel for NsmStore<SharedPoolHandle> {
+    fn handle(&self) -> Self {
+        NsmStore {
+            pool: self.pool.clone(),
+            state: self.state.clone(),
+            ..*self
         }
     }
-    Ok(())
+
+    fn shared_pool(&self) -> &SharedBufferPool {
+        self.pool.pool()
+    }
 }
 
-/// Assembles the nested `Station` tuple for `key` from flat parts.
+/// Assembles the nested `Station` tuple for `key` from flat state.
 fn assemble(
     key: Key,
     station: &Tuple,
@@ -328,21 +265,12 @@ fn read_rids(
         .collect()
 }
 
-impl<P: PageCache> NsmStore<P> {
-    /// Materializes one full object by key: pure NSM scans all relations,
-    /// NSM+index reads the root by scan/index depending on `root_by_scan`
-    /// and the sub-tuples by RID.
-    fn materialize(&mut self, key: Key, root_by_scan: bool) -> Result<Tuple> {
-        let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        materialize_in(&parts, &mut self.pool, key, root_by_scan)
-    }
-}
-
-/// [`NsmStore::materialize`] over explicit parts and pool — the shape both
-/// the exclusive and the concurrent surfaces share.
-fn materialize_in(
-    parts: &NsmParts<'_>,
+/// Materializes one full object by key: pure NSM scans all relations,
+/// NSM+index reads the root by scan/index depending on `root_by_scan` and
+/// the sub-tuples by RID.
+fn materialize(
+    state: &NsmState,
+    indexed: bool,
     pool: &mut impl PageCache,
     key: Key,
     root_by_scan: bool,
@@ -350,7 +278,7 @@ fn materialize_in(
     let station_schema = nsm_station_schema();
     let root = if root_by_scan {
         let keys: HashSet<Key> = [key].into();
-        let found = scan_matching(pool, parts.station, &station_schema, &keys)?;
+        let found = scan_matching(pool, &state.station, &station_schema, &keys)?;
         found
             .get(&key)
             .and_then(|v| v.first())
@@ -359,43 +287,43 @@ fn materialize_in(
                 what: format!("key {key}"),
             })?
     } else {
-        let rid = parts
+        let rid = state
             .index
             .get(&key)
             .and_then(|r| r.station)
             .ok_or_else(|| CoreError::NotFound {
                 what: format!("key {key}"),
             })?;
-        let bytes = parts.station.read(pool, rid)?;
+        let bytes = state.station.read(pool, rid)?;
         decode(&bytes, &station_schema)?
     };
-    let (platforms, connections, sightseeings) = if parts.indexed {
-        let rids = parts.index.get(&key).cloned().unwrap_or_default();
+    let (platforms, connections, sightseeings) = if indexed {
+        let rids = state.index.get(&key).cloned().unwrap_or_default();
         (
             read_rids(
                 pool,
-                parts.platform,
+                &state.platform,
                 &nsm_platform_schema(),
                 &rids.platforms,
             )?,
             read_rids(
                 pool,
-                parts.connection,
+                &state.connection,
                 &nsm_connection_schema(),
                 &rids.connections,
             )?,
             read_rids(
                 pool,
-                parts.sightseeing,
+                &state.sightseeing,
                 &nsm_sightseeing_schema(),
                 &rids.sightseeings,
             )?,
         )
     } else {
         let keys: HashSet<Key> = [key].into();
-        let mut p = scan_matching(pool, parts.platform, &nsm_platform_schema(), &keys)?;
-        let mut c = scan_matching(pool, parts.connection, &nsm_connection_schema(), &keys)?;
-        let mut s = scan_matching(pool, parts.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+        let mut p = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
+        let mut c = scan_matching(pool, &state.connection, &nsm_connection_schema(), &keys)?;
+        let mut s = scan_matching(pool, &state.sightseeing, &nsm_sightseeing_schema(), &keys)?;
         (
             p.remove(&key).unwrap_or_default(),
             c.remove(&key).unwrap_or_default(),
@@ -409,128 +337,6 @@ fn materialize_in(
         &connections,
         &sightseeings,
     ))
-}
-
-/// The NSM full scan over explicit parts and pool: one set-oriented pass
-/// over each of the four relations, objects reassembled in `refs` (OID)
-/// order — the one scan primitive both surfaces run.
-fn scan_all_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-    let roots = scan_matching(pool, parts.station, &nsm_station_schema(), &keys)?;
-    let mut platforms = scan_matching(pool, parts.platform, &nsm_platform_schema(), &keys)?;
-    let mut connections = scan_matching(pool, parts.connection, &nsm_connection_schema(), &keys)?;
-    let mut sightseeings =
-        scan_matching(pool, parts.sightseeing, &nsm_sightseeing_schema(), &keys)?;
-    for r in refs {
-        let root =
-            roots
-                .get(&r.key)
-                .and_then(|v| v.first())
-                .ok_or_else(|| CoreError::NotFound {
-                    what: format!("key {}", r.key),
-                })?;
-        let t = assemble(
-            r.key,
-            root,
-            &platforms.remove(&r.key).unwrap_or_default(),
-            &connections.remove(&r.key).unwrap_or_default(),
-            &sightseeings.remove(&r.key).unwrap_or_default(),
-        );
-        f(&t);
-    }
-    Ok(())
-}
-
-/// The NSM navigation step over explicit parts and pool.
-fn children_of_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let schema = nsm_connection_schema();
-    let to_ref = |c: &Tuple| ObjRef {
-        key: c.attr(3).and_then(Value::as_int).unwrap_or(0),
-        oid: c.attr(4).and_then(Value::as_link).unwrap_or(Oid(0)),
-    };
-    if parts.indexed {
-        let mut out = Vec::new();
-        for r in refs {
-            let rids = parts
-                .index
-                .get(&r.key)
-                .map(|x| x.connections.clone())
-                .unwrap_or_default();
-            let tuples = read_rids(pool, parts.connection, &schema, &rids)?;
-            out.extend(tuples.iter().map(to_ref));
-        }
-        Ok(out)
-    } else {
-        // One set-oriented scan of NSM-Connection for the whole ref set.
-        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-        let mut by_key = scan_matching(pool, parts.connection, &schema, &keys)?;
-        // Preserve per-ref order (and duplicate refs duplicate output).
-        let mut out = Vec::new();
-        for r in refs {
-            if let Some(ts) = by_key.get(&r.key) {
-                out.extend(ts.iter().map(to_ref));
-            }
-        }
-        let _ = by_key.drain();
-        Ok(out)
-    }
-}
-
-/// The NSM root-record read over explicit parts and pool.
-fn root_records_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let schema = nsm_station_schema();
-    let to_root = |t: &Tuple| {
-        Tuple::new(vec![
-            t.values[0].clone(),
-            t.values[1].clone(),
-            t.values[2].clone(),
-            t.values[3].clone(),
-            Value::Rel(vec![]),
-            Value::Rel(vec![]),
-        ])
-    };
-    if parts.indexed {
-        refs.iter()
-            .map(|r| {
-                let rid = parts
-                    .index
-                    .get(&r.key)
-                    .and_then(|x| x.station)
-                    .ok_or_else(|| CoreError::NotFound {
-                        what: format!("key {}", r.key),
-                    })?;
-                let bytes = parts.station.read(pool, rid)?;
-                Ok(to_root(&decode(&bytes, &schema)?))
-            })
-            .collect()
-    } else {
-        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-        let by_key = scan_matching(pool, parts.station, &schema, &keys)?;
-        refs.iter()
-            .map(|r| {
-                by_key
-                    .get(&r.key)
-                    .and_then(|v| v.first())
-                    .map(to_root)
-                    .ok_or_else(|| CoreError::NotFound {
-                        what: format!("key {}", r.key),
-                    })
-            })
-            .collect()
-    }
 }
 
 /// Decodes attribute 0 (`Key`/`RootKey`, always an INT at a fixed offset) of
@@ -612,14 +418,14 @@ fn scan_grouped(pool: &mut impl PageCache, file: &HeapFile) -> Result<GroupedRel
 
 /// Current pages-per-tuple density of each relation — what one tuple costs
 /// inside a packed region (`1/k` of a page for these page-sharing tuples).
-fn densities(state: &NsmState, sizes: &[RelationBytes]) -> [f64; 4] {
+fn densities(state: &NsmState) -> [f64; 4] {
     let files = [
         &state.station,
         &state.platform,
         &state.connection,
         &state.sightseeing,
     ];
-    std::array::from_fn(|i| match sizes.get(i) {
+    std::array::from_fn(|i| match state.sizes.get(i) {
         Some(sz) if sz.count > 0 => files[i].page_count() as f64 / sz.count as f64,
         _ => 0.0,
     })
@@ -627,13 +433,11 @@ fn densities(state: &NsmState, sizes: &[RelationBytes]) -> [f64; 4] {
 
 /// Per-object heat from the memory-resident index alone (NSM+index): no
 /// I/O, the addresses already name every page each object touches.
-fn object_heats_indexed(
-    state: &NsmState,
-    refs: &[ObjRef],
-    dens: [f64; 4],
-    heat: &HashMap<PageId, u64>,
-) -> Vec<ObjectHeat> {
-    refs.iter()
+fn object_heats_indexed(state: &NsmState, heat: &HashMap<PageId, u64>) -> Vec<ObjectHeat> {
+    let dens = densities(state);
+    state
+        .refs
+        .iter()
         .enumerate()
         .map(|(ord, r)| {
             let rids = state.index.get(&r.key).cloned().unwrap_or_default();
@@ -685,13 +489,12 @@ fn object_heats_grouped(
 fn rebuild_nsm(
     indexed: bool,
     state: &NsmState,
-    refs: &[ObjRef],
-    sizes: &[RelationBytes],
     pool: &mut impl PageCache,
 ) -> Result<(NsmState, ReorgReport)> {
+    let refs = &state.refs;
     let before = pool.snapshot();
     let heat = placement::heat_map(pool.page_heat());
-    let dens = densities(state, sizes);
+    let dens = densities(state);
     let files = [
         &state.station,
         &state.platform,
@@ -770,6 +573,8 @@ fn rebuild_nsm(
             sightseeing: se,
             station_rids,
             index,
+            refs: refs.clone(),
+            sizes: state.sizes.clone(),
         },
         report,
     ))
@@ -793,9 +598,9 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
         let mut pl_owner: Vec<Key> = Vec::new();
         let mut co_owner: Vec<Key> = Vec::new();
         let mut se_owner: Vec<Key> = Vec::new();
-        self.refs.clear();
+        let mut refs = Vec::with_capacity(stations.len());
         for (i, s) in stations.iter().enumerate() {
-            self.refs.push(ObjRef {
+            refs.push(ObjRef {
                 oid: Oid(i as u32),
                 key: s.key,
             });
@@ -866,28 +671,30 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
             [&owner_keys, &pl_owner, &co_owner, &se_owner],
             [&st_rids, &pl_rids, &co_rids, &se_rids],
         );
-        self.sizes = [&st_recs, &pl_recs, &co_recs, &se_recs]
+        let sizes = [&st_recs, &pl_recs, &co_recs, &se_recs]
             .iter()
             .map(|recs| RelationBytes {
                 total_bytes: recs.iter().map(|r| r.len() as u64).sum(),
                 count: recs.len() as u64,
             })
             .collect();
-        *placement::write_lock(&self.state) = Some(Arc::new(NsmState {
+        self.state.publish(NsmState {
             station: st,
             platform: pl,
             connection: co,
             sightseeing: se,
             station_rids,
             index,
-        }));
+            refs: refs.clone(),
+            sizes,
+        });
         self.pool.clear_cache()?;
         self.pool.reset_stats();
-        Ok(self.refs.clone())
+        Ok(refs)
     }
 
     fn object_count(&self) -> usize {
-        self.refs.len()
+        self.state().map_or(0, |st| st.refs.len())
     }
 
     fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
@@ -898,46 +705,177 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
                 op: "access by OID (query 1a)",
             });
         }
-        let key = key_of_oid(&self.refs, oid)?;
-        let t = self.materialize(key, false)?;
+        let state = self.state()?;
+        let key = key_of_oid(&state.refs, oid)?;
+        let t = materialize(&state, self.indexed, &mut self.pool, key, false)?;
         Ok(apply_station_proj(t, proj))
     }
 
     fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
         // Value selection: the root relation is always scanned; the
         // sub-relations are scanned (pure) or read by RID (indexed).
-        let t = self.materialize(key, true)?;
+        let state = self.state()?;
+        let t = materialize(&state, self.indexed, &mut self.pool, key, true)?;
         Ok(apply_station_proj(t, proj))
     }
 
+    /// The NSM full scan: one set-oriented pass over each of the four
+    /// relations, objects reassembled in OID order.
     fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let refs = self.refs.clone();
         let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        scan_all_in(&parts, &mut self.pool, &refs, f)
+        let pool = &mut self.pool;
+        let refs = &state.refs;
+        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+        let roots = scan_matching(pool, &state.station, &nsm_station_schema(), &keys)?;
+        let mut platforms = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
+        let mut connections =
+            scan_matching(pool, &state.connection, &nsm_connection_schema(), &keys)?;
+        let mut sightseeings =
+            scan_matching(pool, &state.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+        for r in refs {
+            let root =
+                roots
+                    .get(&r.key)
+                    .and_then(|v| v.first())
+                    .ok_or_else(|| CoreError::NotFound {
+                        what: format!("key {}", r.key),
+                    })?;
+            let t = assemble(
+                r.key,
+                root,
+                &platforms.remove(&r.key).unwrap_or_default(),
+                &connections.remove(&r.key).unwrap_or_default(),
+                &sightseeings.remove(&r.key).unwrap_or_default(),
+            );
+            f(&t);
+        }
+        Ok(())
     }
 
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
         let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        children_of_in(&parts, &mut self.pool, refs)
+        let indexed = self.indexed;
+        let pool = &mut self.pool;
+        let schema = nsm_connection_schema();
+        let to_ref = |c: &Tuple| ObjRef {
+            key: c.attr(3).and_then(Value::as_int).unwrap_or(0),
+            oid: c.attr(4).and_then(Value::as_link).unwrap_or(Oid(0)),
+        };
+        if indexed {
+            let mut out = Vec::new();
+            for r in refs {
+                let rids = state
+                    .index
+                    .get(&r.key)
+                    .map(|x| x.connections.clone())
+                    .unwrap_or_default();
+                let tuples = read_rids(pool, &state.connection, &schema, &rids)?;
+                out.extend(tuples.iter().map(to_ref));
+            }
+            Ok(out)
+        } else {
+            // One set-oriented scan of NSM-Connection for the whole ref set.
+            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let mut by_key = scan_matching(pool, &state.connection, &schema, &keys)?;
+            // Preserve per-ref order (and duplicate refs duplicate output).
+            let mut out = Vec::new();
+            for r in refs {
+                if let Some(ts) = by_key.get(&r.key) {
+                    out.extend(ts.iter().map(to_ref));
+                }
+            }
+            let _ = by_key.drain();
+            Ok(out)
+        }
     }
 
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
         let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        root_records_in(&parts, &mut self.pool, refs)
+        let indexed = self.indexed;
+        let pool = &mut self.pool;
+        let schema = nsm_station_schema();
+        let to_root = |t: &Tuple| {
+            Tuple::new(vec![
+                t.values[0].clone(),
+                t.values[1].clone(),
+                t.values[2].clone(),
+                t.values[3].clone(),
+                Value::Rel(vec![]),
+                Value::Rel(vec![]),
+            ])
+        };
+        if indexed {
+            refs.iter()
+                .map(|r| {
+                    let rid = state
+                        .index
+                        .get(&r.key)
+                        .and_then(|x| x.station)
+                        .ok_or_else(|| CoreError::NotFound {
+                            what: format!("key {}", r.key),
+                        })?;
+                    let bytes = state.station.read(pool, rid)?;
+                    Ok(to_root(&decode(&bytes, &schema)?))
+                })
+                .collect()
+        } else {
+            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let by_key = scan_matching(pool, &state.station, &schema, &keys)?;
+            refs.iter()
+                .map(|r| {
+                    by_key
+                        .get(&r.key)
+                        .and_then(|v| v.first())
+                        .map(to_root)
+                        .ok_or_else(|| CoreError::NotFound {
+                            what: format!("key {}", r.key),
+                        })
+                })
+                .collect()
+        }
     }
 
+    /// Each root record's read-modify-write happens under an **exclusive
+    /// latch** on its page, so concurrent writers on root records sharing a
+    /// page serialize and never lose updates (root tuples are small — "there
+    /// are many on a single page", §5.3).
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
         let state = self.state()?;
-        update_roots_in(
-            &state.station,
-            &state.station_rids,
-            &mut self.pool,
-            refs,
-            patch,
-        )
+        let (station, station_rids) = (&state.station, &state.station_rids);
+        let pool = &mut self.pool;
+        let schema = nsm_station_schema();
+        for r in refs {
+            let rid = *station_rids
+                .get(&r.key)
+                .ok_or_else(|| CoreError::NotFound {
+                    what: format!("key {}", r.key),
+                })?;
+            let res = pool.with_latched(&[rid.page], LatchMode::Exclusive, |pool| {
+                let bytes = station.read(pool, rid)?;
+                let mut t = decode(&bytes, &schema)?;
+                let old = t.values[3].as_str().map(str::len).unwrap_or(0);
+                if old != patch.new_name.len() {
+                    return Err(CoreError::Store(
+                        starfish_pagestore::StoreError::SizeChanged {
+                            old,
+                            new: patch.new_name.len(),
+                        },
+                    ));
+                }
+                t.values[3] = Value::Str(patch.new_name.clone());
+                Ok(station.update(pool, rid, &encode(&t, &schema)?)?)
+            });
+            // Each root RMW is one op: commit (durable on WAL pools) or drop
+            // its buffered images.
+            match res {
+                Ok(()) => pool.log_commit()?,
+                Err(e) => {
+                    pool.log_abort();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -970,10 +908,10 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
             &state.connection,
             &state.sightseeing,
         ];
-        let objects = self.refs.len();
+        let objects = state.refs.len();
         files
             .iter()
-            .zip(&self.sizes)
+            .zip(&state.sizes)
             .map(|(f, sz)| {
                 let s_tuple =
                     avg(sz.total_bytes, sz.count) + starfish_pagestore::SLOT_ENTRY_SIZE as f64;
@@ -1005,10 +943,9 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
     fn placement_stats(&mut self) -> Result<PlacementStats> {
         let state = self.state()?;
         let heat = placement::heat_map(self.pool.page_heat());
-        let dens = densities(&state, &self.sizes);
         let heats = if self.indexed {
             // The memory-resident index names every page: metadata only.
-            object_heats_indexed(&state, &self.refs, dens, &heat)
+            object_heats_indexed(&state, &heat)
         } else {
             // Pure NSM has no addresses: locating tuples costs the usual
             // counted relation scans.
@@ -1022,115 +959,16 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
             for (g, f) in groups.iter_mut().zip(files) {
                 *g = scan_grouped(&mut self.pool, f)?;
             }
-            object_heats_grouped(&groups, &self.refs, dens, &heat)
+            object_heats_grouped(&groups, &state.refs, densities(&state), &heat)
         };
         Ok(placement::rank(&heats).stats)
     }
 
     fn reorganize(&mut self) -> Result<ReorgReport> {
         let state = self.state()?;
-        let (new_state, report) = rebuild_nsm(
-            self.indexed,
-            &state,
-            &self.refs,
-            &self.sizes,
-            &mut self.pool,
-        )?;
-        *placement::write_lock(&self.state) = Some(Arc::new(new_state));
+        let (new_state, report) = rebuild_nsm(self.indexed, &state, &mut self.pool)?;
+        self.state.publish(new_state);
         Ok(report)
-    }
-}
-
-impl NsmStore<SharedPoolHandle> {
-    /// State snapshot plus a cloned pool handle, for `&self` read paths.
-    fn parts_and_handle(&self) -> Result<(Arc<NsmState>, SharedPoolHandle)> {
-        Ok((self.state()?, self.pool.clone()))
-    }
-}
-
-impl crate::ConcurrentObjectStore for NsmStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        if !self.indexed {
-            // "With NSM we have no identifiers, so query 1a is not relevant."
-            return Err(CoreError::Unsupported {
-                model: "NSM",
-                op: "access by OID (query 1a)",
-            });
-        }
-        let key = key_of_oid(&self.refs, oid)?;
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        let t = materialize_in(&parts, &mut pool, key, false)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        let t = materialize_in(&parts, &mut pool, key, true)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        scan_all_in(&parts, &mut pool, &self.refs, f)
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        children_of_in(&parts, &mut pool, refs)
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        root_records_in(&parts, &mut pool, refs)
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        update_roots_in(&state.station, &state.station_rids, &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        // Copy + swap under the writer gate: no root update can slip in
-        // between scanning a relation and publishing its new extents.
-        // Readers race on the old snapshot (scans are plain fixes and pass
-        // the gate); the pass takes no exclusive latch group (see the
-        // trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_state, report) =
-                rebuild_nsm(self.indexed, &state, &self.refs, &self.sizes, &mut pool)?;
-            *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-            Ok(report)
-        })
     }
 }
 

@@ -18,9 +18,10 @@
 //! [`ReorgReport`], so callers (the harness's cost-model trigger) can weigh
 //! spend against the predicted win.
 
+use crate::{CoreError, Result};
 use starfish_pagestore::PageId;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock};
 
 /// Fraction of the total heat the hot set must cover: 7/8.
 const HOT_COVERAGE_NUM: u64 = 7;
@@ -168,15 +169,44 @@ pub(crate) fn distinct_pages<'a>(lists: impl Iterator<Item = &'a [PageId]>) -> u
     set.len() as u32
 }
 
-/// Poison-tolerant read lock: a panicked reorganization never wedges the
-/// store (the swap is all-or-nothing, so the guarded state stays valid).
-pub(crate) fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
+/// A store's published database: the current placement snapshot together
+/// with its load-time metadata, shared by every handle on the store.
+/// `load` and `reorganize` publish a whole new snapshot; every operation
+/// clones the current `Arc` out once and works against it, so concurrent
+/// readers keep a consistent old placement (whose extents stay valid on
+/// disk) while a reorganization publishes a new one.
+pub(crate) struct Published<T>(Arc<RwLock<Option<Arc<T>>>>);
+
+impl<T> Published<T> {
+    /// Nothing loaded yet.
+    pub(crate) fn empty() -> Self {
+        Published(Arc::new(RwLock::new(None)))
+    }
+
+    /// The current snapshot (a cheap `Arc` clone), or the empty-database
+    /// error. The lock is poison-tolerant: a panicked reorganization never
+    /// wedges the store (the swap is all-or-nothing, so the guarded state
+    /// stays valid).
+    pub(crate) fn current(&self) -> Result<Arc<T>> {
+        self.0
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+            .ok_or_else(|| CoreError::NotFound {
+                what: "empty database".into(),
+            })
+    }
+
+    /// Atomically replaces the snapshot every handle sees.
+    pub(crate) fn publish(&self, db: T) {
+        *self.0.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(db));
+    }
 }
 
-/// Poison-tolerant write lock (see [`read_lock`]).
-pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
+impl<T> Clone for Published<T> {
+    fn clone(&self) -> Self {
+        Published(Arc::clone(&self.0))
+    }
 }
 
 #[cfg(test)]

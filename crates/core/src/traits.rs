@@ -50,7 +50,7 @@ pub struct RelationInfo {
     pub m: u32,
 }
 
-/// The common interface of the four storage models.
+/// The common interface of the five storage models.
 ///
 /// The operations are exactly the benchmark's primitives (§2.2):
 ///
@@ -159,8 +159,7 @@ pub trait ComplexObjectStore {
 }
 
 /// Resolves an OID to its logical key via the loaded refs (OIDs are dense
-/// ordinals) — shared by the exclusive and concurrent read surfaces so the
-/// two can never drift.
+/// ordinals).
 pub(crate) fn key_of_oid(refs: &[ObjRef], oid: Oid) -> crate::Result<Key> {
     refs.get(oid.0 as usize)
         .map(|r| r.key)

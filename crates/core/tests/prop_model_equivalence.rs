@@ -4,9 +4,12 @@
 //! differ in *which pages they touch*, never in *what they return*.
 
 use proptest::prelude::*;
-use starfish_core::{make_store, ComplexObjectStore, ModelKind, ObjRef, RootPatch, StoreConfig};
-use starfish_nf2::station::{Connection, Platform, Sightseeing, Station};
-use starfish_nf2::{Oid, Projection};
+use starfish_core::{
+    make_shared_store, make_store, ComplexObjectStore, ConcurrentObjectStore, CoreError,
+    HeatConfig, ModelKind, ObjRef, RootPatch, StoreConfig,
+};
+use starfish_nf2::station::{proj_root_record, Connection, Platform, Sightseeing, Station};
+use starfish_nf2::{Oid, Projection, Tuple};
 
 /// Builds a consistent random database of `n` stations whose connections
 /// reference stations in the same database.
@@ -74,6 +77,70 @@ fn all_stores(db: &[Station]) -> Vec<Box<dyn ComplexObjectStore>> {
             s
         })
         .collect()
+}
+
+/// Drives one op pair over the two twin stores: `exclusive` through the
+/// `&mut` trait, `shared` through its `&self` twin. Both must return the
+/// same answer or the same error (compared by message, which names the
+/// variant), and spend the same counters.
+struct Twins {
+    exclusive: Box<dyn ConcurrentObjectStore>,
+    shared: Box<dyn ConcurrentObjectStore>,
+}
+
+impl Twins {
+    fn load(kind: ModelKind, db: &[Station]) -> Twins {
+        let config = || StoreConfig::default().heat(HeatConfig::enabled());
+        let mut exclusive = make_shared_store(kind, config(), 1);
+        let mut shared = make_shared_store(kind, config(), 1);
+        exclusive.load(db).unwrap();
+        shared.load(db).unwrap();
+        Twins { exclusive, shared }
+    }
+
+    fn pair<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        on_mut: impl FnOnce(&mut dyn ConcurrentObjectStore) -> starfish_core::Result<T>,
+        on_shared: impl FnOnce(&dyn ConcurrentObjectStore) -> starfish_core::Result<T>,
+    ) -> Result<starfish_core::Result<T>, TestCaseError> {
+        let kind = self.exclusive.model();
+        let a = on_mut(self.exclusive.as_mut());
+        let b = on_shared(self.shared.as_ref());
+        let msg = |r: &starfish_core::Result<T>| r.as_ref().err().map(ToString::to_string);
+        prop_assert_eq!(msg(&a), msg(&b), "{} {}: errors differ", kind, what);
+        if let (Ok(x), Ok(y)) = (&a, &b) {
+            prop_assert_eq!(x, y, "{} {}: answers differ", kind, what);
+        }
+        prop_assert_eq!(
+            self.exclusive.snapshot(),
+            self.shared.snapshot(),
+            "{} {}: counters differ",
+            kind,
+            what
+        );
+        Ok(a)
+    }
+
+    /// [`Self::pair`] for an op both twins must complete.
+    fn ok<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        on_mut: impl FnOnce(&mut dyn ConcurrentObjectStore) -> starfish_core::Result<T>,
+        on_shared: impl FnOnce(&dyn ConcurrentObjectStore) -> starfish_core::Result<T>,
+    ) -> Result<T, TestCaseError> {
+        let kind = self.exclusive.model();
+        self.pair(what, on_mut, on_shared)?
+            .map_err(|e| TestCaseError::fail(format!("{kind} {what}: {e}")))
+    }
+}
+
+fn scan(
+    f: impl FnOnce(&mut dyn FnMut(&Tuple)) -> starfish_core::Result<()>,
+) -> starfish_core::Result<Vec<Tuple>> {
+    let mut out = Vec::new();
+    f(&mut |t| out.push(t.clone()))?;
+    Ok(out)
 }
 
 proptest! {
@@ -161,6 +228,95 @@ proptest! {
             let mut seen = Vec::new();
             s.scan_all(&mut |t| seen.push(Station::from_tuple(t).unwrap())).unwrap();
             prop_assert_eq!(&seen, &db, "model {}", kind);
+        }
+    }
+
+    #[test]
+    fn shared_surface_matches_its_mut_twin_op_for_op(db in arb_db(5), victim in 0usize..5) {
+        let victim = victim % db.len();
+        let refs: Vec<ObjRef> = db
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ObjRef { oid: Oid(i as u32), key: s.key })
+            .collect();
+        let good = RootPatch { new_name: "P".repeat(db[victim].name.len()) };
+        let short = RootPatch { new_name: "short".into() };
+        for kind in ModelKind::all() {
+            let mut t = Twins::load(kind, &db);
+            for proj in [Projection::All, proj_root_record()] {
+                for r in &refs {
+                    let got = t.pair(
+                        "get_by_oid",
+                        |s| s.get_by_oid(r.oid, &proj),
+                        |s| s.shared_get_by_oid(r.oid, &proj),
+                    )?;
+                    // Pure NSM has no identifiers: query 1a is "not relevant".
+                    match kind {
+                        ModelKind::Nsm => prop_assert!(
+                            matches!(got, Err(CoreError::Unsupported { .. })),
+                            "{}",
+                            kind
+                        ),
+                        _ => prop_assert!(got.is_ok(), "{}", kind),
+                    }
+                    t.ok(
+                        "get_by_key",
+                        |s| s.get_by_key(r.key, &proj),
+                        |s| s.shared_get_by_key(r.key, &proj),
+                    )?;
+                }
+            }
+            let missing_oid = Oid(db.len() as u32 + 3);
+            let got = t.pair(
+                "get_by_oid (unknown)",
+                |s| s.get_by_oid(missing_oid, &Projection::All),
+                |s| s.shared_get_by_oid(missing_oid, &Projection::All),
+            )?;
+            prop_assert!(got.is_err(), "{}", kind);
+            let got = t.pair(
+                "get_by_key (unknown)",
+                |s| s.get_by_key(-1, &Projection::All),
+                |s| s.shared_get_by_key(-1, &Projection::All),
+            )?;
+            prop_assert!(matches!(got, Err(CoreError::NotFound { .. })), "{}", kind);
+            t.ok(
+                "scan_all",
+                |s| scan(|f| s.scan_all(f)),
+                |s| scan(|f| s.shared_scan_all(f)),
+            )?;
+            t.ok(
+                "children_of",
+                |s| s.children_of(&refs),
+                |s| s.shared_children_of(&refs),
+            )?;
+            t.ok(
+                "root_records",
+                |s| s.root_records(&refs),
+                |s| s.shared_root_records(&refs),
+            )?;
+            let target = [refs[victim]];
+            let got = t.pair(
+                "update_roots (wrong length)",
+                |s| s.update_roots(&target, &short),
+                |s| s.shared_update_roots(&target, &short),
+            )?;
+            prop_assert!(matches!(got, Err(CoreError::Store(_))), "{}", kind);
+            t.ok(
+                "update_roots",
+                |s| s.update_roots(&target, &good),
+                |s| s.shared_update_roots(&target, &good),
+            )?;
+            t.ok("flush", |s| s.flush(), |s| s.shared_flush())?;
+            prop_assert_eq!(t.exclusive.disk_checksum(), t.shared.disk_checksum(), "{}", kind);
+            t.ok("clear_cache", |s| s.clear_cache(), |s| s.shared_clear_cache())?;
+            t.ok("reorganize", |s| s.reorganize(), |s| s.shared_reorganize())?;
+            t.ok(
+                "scan_all (reorganized)",
+                |s| scan(|f| s.scan_all(f)),
+                |s| scan(|f| s.shared_scan_all(f)),
+            )?;
+            t.ok("flush (reorganized)", |s| s.flush(), |s| s.shared_flush())?;
+            prop_assert_eq!(t.exclusive.disk_checksum(), t.shared.disk_checksum(), "{}", kind);
         }
     }
 }

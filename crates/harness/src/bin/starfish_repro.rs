@@ -46,7 +46,7 @@
 
 use starfish_harness::experiments;
 use starfish_harness::runner::{
-    parse_fsync, parse_nodes, parse_queue_depth, parse_threads, HarnessConfig,
+    parse_fsync, parse_nodes, parse_queue_depth, parse_seed, parse_threads, HarnessConfig,
 };
 use starfish_workload::WorkloadSpec;
 
@@ -91,9 +91,12 @@ fn main() {
     } else {
         HarnessConfig::default()
     };
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        if let Some(seed) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            config.dataset_seed = seed;
+    match parse_seed(&args) {
+        Ok(Some(seed)) => config.dataset_seed = seed,
+        Ok(None) => {}
+        Err(msg) => {
+            eprintln!("starfish-repro: {msg}");
+            std::process::exit(2);
         }
     }
     if let Some(i) = args.iter().position(|a| a == "--policy") {

@@ -75,6 +75,33 @@ impl HarnessConfig {
     }
 }
 
+/// Parses the numeric value of `flag` out of a CLI argument list — the one
+/// body behind every count-valued flag.
+///
+/// Returns `Ok(None)` when the flag is absent, `Ok(Some(n))` for a valid
+/// `flag n` with `n >= min`, and `Err` with a user-facing message naming
+/// `what` for a missing, non-numeric or too-small value.
+fn parse_flag_value<T>(
+    args: &[String],
+    flag: &str,
+    what: &str,
+    min: T,
+) -> std::result::Result<Option<T>, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let need = format!("{flag} needs {what} >= {min}");
+    match args.get(i + 1).map(|s| (s, s.parse::<T>())) {
+        Some((_, Ok(n))) if n >= min => Ok(Some(n)),
+        Some((_, Ok(n))) => Err(format!("{need} (got {n})")),
+        Some((raw, Err(_))) => Err(format!("{need} (got '{raw}')")),
+        None => Err(need),
+    }
+}
+
 /// Parses the `--threads` argument out of a CLI argument list.
 ///
 /// Returns `Ok(None)` when the flag is absent (callers sweep the default
@@ -84,18 +111,7 @@ impl HarnessConfig {
 /// reach `SharedBufferPool::new(_, _, 0)`'s "need at least one shard"
 /// panic deep in the stack instead of a clean CLI error.
 pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--threads needs a client count >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--threads needs a client count >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--threads needs a client count >= 1".into()),
-    }
+    parse_flag_value(args, "--threads", "a client count", 1)
 }
 
 /// Parses the `--nodes` argument out of a CLI argument list.
@@ -105,18 +121,7 @@ pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, Stri
 /// `Err` with a user-facing message for a missing, non-numeric or
 /// **zero** value — a zero-node cluster can own no object.
 pub fn parse_nodes(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--nodes") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--nodes needs a node count >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--nodes needs a node count >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--nodes needs a node count >= 1".into()),
-    }
+    parse_flag_value(args, "--nodes", "a node count", 1)
 }
 
 /// Parses the `--queue-depth` argument out of a CLI argument list.
@@ -126,18 +131,17 @@ pub fn parse_nodes(args: &[String]) -> std::result::Result<Option<usize>, String
 /// `--queue-depth n`, and `Err` with a user-facing message for a missing,
 /// non-numeric or **zero** value — a zero-depth queue can hold no request.
 pub fn parse_queue_depth(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--queue-depth") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--queue-depth needs a depth >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--queue-depth needs a depth >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--queue-depth needs a depth >= 1".into()),
-    }
+    parse_flag_value(args, "--queue-depth", "a depth", 1)
+}
+
+/// Parses the `--seed` argument out of a CLI argument list.
+///
+/// Returns `Ok(None)` when the flag is absent (the default dataset seed
+/// applies), `Ok(Some(seed))` for any unsigned 64-bit `--seed seed` (0
+/// included), and `Err` with a user-facing message for a missing or
+/// non-numeric value.
+pub fn parse_seed(args: &[String]) -> std::result::Result<Option<u64>, String> {
+    parse_flag_value(args, "--seed", "a dataset seed", 0)
 }
 
 /// Parses the `--fsync` argument out of a CLI argument list.
@@ -303,6 +307,31 @@ pub struct WorkloadRow {
     pub updates: u64,
 }
 
+impl WorkloadRow {
+    /// `kind`'s row for one plan outcome: per-unit counters when the plan
+    /// ran, an empty row when the model does not support an op of it.
+    fn new(model: ModelKind, outcome: PlanOutcome) -> WorkloadRow {
+        match outcome {
+            PlanOutcome::Measured(run) => WorkloadRow {
+                model,
+                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
+                units: run.units,
+                nav_seen: run.nav_seen,
+                scanned: run.scanned,
+                updates: run.updates_applied,
+            },
+            PlanOutcome::Unsupported => WorkloadRow {
+                model,
+                cell: None,
+                units: 0,
+                nav_seen: Vec::new(),
+                scanned: 0,
+                updates: 0,
+            },
+        }
+    }
+}
+
 /// Runs a declarative [`WorkloadSpec`] serially against every model in
 /// `models` over an already-generated dataset, under the usual measurement
 /// protocol (cold start, disconnect flush, per-unit normalization).
@@ -315,25 +344,10 @@ pub fn measure_workload_on(
     let mut out = Vec::with_capacity(models.len());
     for &kind in models {
         let (mut store, runner) = load_store(kind, db, config)?;
-        let row = match runner.executor().run(store.as_mut(), spec)? {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        out.push(WorkloadRow::new(
+            kind,
+            runner.executor().run(store.as_mut(), spec)?,
+        ));
     }
     Ok(out)
 }
@@ -365,25 +379,7 @@ pub fn measure_workload_concurrent_on(
         let run = runner
             .executor()
             .run_concurrent(store.as_mut(), spec, threads)?;
-        let row = match run.outcome {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        out.push(WorkloadRow::new(kind, run.outcome));
     }
     Ok(out)
 }
@@ -419,25 +415,7 @@ pub fn measure_workload_cluster_on(
         let refs = cluster.load(db)?;
         let exec = Executor::new(refs, config.query_seed);
         let run = exec.run_cluster(&mut cluster, spec, clients, workers_per_node)?;
-        let row = match run.run.outcome {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        out.push(WorkloadRow::new(kind, run.run.outcome));
     }
     Ok(out)
 }
@@ -512,6 +490,18 @@ mod tests {
         assert!(parse_queue_depth(&args(&["--queue-depth"])).is_err());
         assert!(parse_queue_depth(&args(&["--queue-depth", "deep"])).is_err());
         assert!(parse_queue_depth(&args(&["--queue-depth", "-4"])).is_err());
+    }
+
+    #[test]
+    fn parse_seed_accepts_any_unsigned_seed() {
+        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_seed(&args(&["--fast"])), Ok(None));
+        assert_eq!(parse_seed(&args(&["--seed", "7"])), Ok(Some(7)));
+        assert_eq!(parse_seed(&args(&["--fast", "--seed", "0"])), Ok(Some(0)));
+        let err = parse_seed(&args(&["--seed", "abc"])).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("'abc'"), "{err}");
+        assert!(parse_seed(&args(&["--seed"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "-1"])).is_err());
     }
 
     #[test]

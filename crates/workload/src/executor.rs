@@ -190,9 +190,11 @@ pub struct Executor {
 
 // ---- the op interpreter -----------------------------------------------------
 
-/// The storage surface a plan streams over — the serial `&mut` trait and
-/// the concurrent `&self` trait behind one vocabulary, so the interpreter
-/// cannot drift between modes.
+/// The storage surface a plan streams over — the serial `&mut` trait, the
+/// concurrent `&self` trait and the routed cluster behind one vocabulary,
+/// so the interpreter cannot drift between modes. The two `&self` surfaces
+/// are plain shared references, so one value is copied into every client
+/// thread.
 trait Surface {
     fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple>;
     fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple>;
@@ -210,131 +212,56 @@ fn proj_of(op: &Op) -> starfish_nf2::Projection {
     }
 }
 
-struct SerialSurface<'a>(&'a mut dyn ComplexObjectStore);
-
-impl Surface for SerialSurface<'_> {
+impl Surface for &mut (dyn ComplexObjectStore + '_) {
     fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        self.0.get_by_oid(r.oid, &proj_of(proj))
+        (**self).get_by_oid(r.oid, &proj_of(proj))
     }
     fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        self.0.get_by_key(r.key, &proj_of(proj))
+        (**self).get_by_key(r.key, &proj_of(proj))
     }
     fn scan_count(&mut self) -> Result<u64> {
         let mut n = 0u64;
-        self.0.scan_all(&mut |_| n += 1)?;
+        (**self).scan_all(&mut |_| n += 1)?;
         Ok(n)
     }
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        self.0.children_of(refs)
+        (**self).children_of(refs)
     }
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        self.0.root_records(refs)
+        (**self).root_records(refs)
     }
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        self.0.update_roots(refs, patch)
+        (**self).update_roots(refs, patch)
     }
     fn clear_cache(&mut self) -> Result<()> {
-        self.0.clear_cache()
+        (**self).clear_cache()
     }
 }
 
-/// The two shareable (`&self`-callable) execution targets a dealt unit can
-/// stream over: a [`ConcurrentObjectStore`] called directly, or a
-/// [`ClusterRouter`] that dispatches every op to its owning node's worker
-/// pool through the ticket surface.
-#[derive(Clone, Copy)]
-enum ExecTarget<'a> {
-    /// Direct calls into one shared store (the single-pool protocol).
-    Shared(&'a dyn ConcurrentObjectStore),
-    /// Routed dispatch onto per-node reactors (the cluster protocol).
-    Routed(&'a ClusterRouter<'a>),
-}
-
-impl<'a> ExecTarget<'a> {
-    fn surface(self) -> TargetSurface<'a> {
-        match self {
-            ExecTarget::Shared(s) => TargetSurface::Shared(SharedSurface(s)),
-            ExecTarget::Routed(r) => TargetSurface::Routed(RoutedSurface(r)),
-        }
-    }
-}
-
-/// The [`Surface`] for either [`ExecTarget`] flavour.
-enum TargetSurface<'a> {
-    Shared(SharedSurface<'a>),
-    Routed(RoutedSurface<'a>),
-}
-
-impl Surface for TargetSurface<'_> {
+/// Direct calls into one shared store (the single-pool protocol).
+impl Surface for &dyn ConcurrentObjectStore {
     fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        match self {
-            TargetSurface::Shared(s) => s.get_by_oid(r, proj),
-            TargetSurface::Routed(s) => s.get_by_oid(r, proj),
-        }
+        self.shared_get_by_oid(r.oid, &proj_of(proj))
     }
     fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        match self {
-            TargetSurface::Shared(s) => s.get_by_key(r, proj),
-            TargetSurface::Routed(s) => s.get_by_key(r, proj),
-        }
-    }
-    fn scan_count(&mut self) -> Result<u64> {
-        match self {
-            TargetSurface::Shared(s) => s.scan_count(),
-            TargetSurface::Routed(s) => s.scan_count(),
-        }
-    }
-    fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        match self {
-            TargetSurface::Shared(s) => s.children_of(refs),
-            TargetSurface::Routed(s) => s.children_of(refs),
-        }
-    }
-    fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        match self {
-            TargetSurface::Shared(s) => s.root_records(refs),
-            TargetSurface::Routed(s) => s.root_records(refs),
-        }
-    }
-    fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        match self {
-            TargetSurface::Shared(s) => s.update_roots(refs, patch),
-            TargetSurface::Routed(s) => s.update_roots(refs, patch),
-        }
-    }
-    fn clear_cache(&mut self) -> Result<()> {
-        match self {
-            TargetSurface::Shared(s) => s.clear_cache(),
-            TargetSurface::Routed(s) => s.clear_cache(),
-        }
-    }
-}
-
-struct SharedSurface<'a>(&'a dyn ConcurrentObjectStore);
-
-impl Surface for SharedSurface<'_> {
-    fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        self.0.shared_get_by_oid(r.oid, &proj_of(proj))
-    }
-    fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        self.0.shared_get_by_key(r.key, &proj_of(proj))
+        self.shared_get_by_key(r.key, &proj_of(proj))
     }
     fn scan_count(&mut self) -> Result<u64> {
         let mut n = 0u64;
-        self.0.shared_scan_all(&mut |_| n += 1)?;
+        self.shared_scan_all(&mut |_| n += 1)?;
         Ok(n)
     }
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        self.0.shared_children_of(refs)
+        self.shared_children_of(refs)
     }
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        self.0.shared_root_records(refs)
+        self.shared_root_records(refs)
     }
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        self.0.shared_update_roots(refs, patch)
+        self.shared_update_roots(refs, patch)
     }
     fn clear_cache(&mut self) -> Result<()> {
-        self.0.shared_clear_cache()
+        self.shared_clear_cache()
     }
 }
 
@@ -353,19 +280,17 @@ fn routed_mismatch(what: &str, got: &QueryResponse) -> CoreError {
 /// submission order rebuilds the serial answer — so dealt units stream
 /// over a cluster exactly like they stream over one shared store, while
 /// the per-node worker pools overlap execution across nodes.
-struct RoutedSurface<'a>(&'a ClusterRouter<'a>);
-
-impl Surface for RoutedSurface<'_> {
+impl Surface for &ClusterRouter<'_> {
     fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        let t = self.0.submit_get_by_oid(r.oid, proj_of(proj))?;
-        match self.0.wait(t)? {
+        let t = self.submit_get_by_oid(r.oid, proj_of(proj))?;
+        match self.wait(t)? {
             QueryResponse::Tuple(tup) => Ok(tup),
             other => Err(routed_mismatch("get_by_oid", &other)),
         }
     }
     fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        let t = self.0.submit_get_by_key(r.key, proj_of(proj))?;
-        match self.0.wait(t)? {
+        let t = self.submit_get_by_key(r.key, proj_of(proj))?;
+        match self.wait(t)? {
             QueryResponse::Tuple(tup) => Ok(tup),
             other => Err(routed_mismatch("get_by_key", &other)),
         }
@@ -374,8 +299,8 @@ impl Surface for RoutedSurface<'_> {
         // Fan out to every node; waiting in ascending node order merges
         // deterministically.
         let mut n = 0u64;
-        for t in self.0.submit_scan_all() {
-            match self.0.wait(t)? {
+        for t in self.submit_scan_all() {
+            match self.wait(t)? {
                 QueryResponse::ScanCount(k) => n += k as u64,
                 other => return Err(routed_mismatch("scan_all", &other)),
             }
@@ -388,11 +313,11 @@ impl Surface for RoutedSurface<'_> {
         // refs, so the next hop routes directly).
         let tickets: Vec<_> = refs
             .iter()
-            .map(|r| self.0.submit_children_of(*r))
+            .map(|r| self.submit_children_of(*r))
             .collect::<Result<_>>()?;
         let mut out = Vec::new();
         for t in tickets {
-            match self.0.wait(t)? {
+            match self.wait(t)? {
                 QueryResponse::Refs(r) => out.extend(r),
                 other => return Err(routed_mismatch("children_of", &other)),
             }
@@ -402,11 +327,11 @@ impl Surface for RoutedSurface<'_> {
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
         let tickets: Vec<_> = refs
             .iter()
-            .map(|r| self.0.submit_root_record(*r))
+            .map(|r| self.submit_root_record(*r))
             .collect::<Result<_>>()?;
         let mut out = Vec::new();
         for t in tickets {
-            match self.0.wait(t)? {
+            match self.wait(t)? {
                 QueryResponse::Tuples(ts) => out.extend(ts),
                 other => return Err(routed_mismatch("root_records", &other)),
             }
@@ -414,8 +339,8 @@ impl Surface for RoutedSurface<'_> {
         Ok(out)
     }
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        for t in self.0.submit_update_roots(refs, patch)? {
-            match self.0.wait(t)? {
+        for t in self.submit_update_roots(refs, patch)? {
+            match self.wait(t)? {
                 QueryResponse::Done => {}
                 other => return Err(routed_mismatch("update_roots", &other)),
             }
@@ -423,7 +348,7 @@ impl Surface for RoutedSurface<'_> {
         Ok(())
     }
     fn clear_cache(&mut self) -> Result<()> {
-        self.0.clear_cache_all()
+        self.clear_cache_all()
     }
 }
 
@@ -932,10 +857,10 @@ struct UnitRun<'a> {
     record: bool,
 }
 
-/// Runs one dealt unit over a shareable target (direct shared store or
+/// Runs one dealt unit over a shareable surface (direct shared store or
 /// routed cluster dispatch).
-fn run_unit(
-    target: ExecTarget<'_>,
+fn run_unit<S: Surface>(
+    mut surf: S,
     refs: &[ObjRef],
     spec: &WorkloadSpec,
     run: UnitRun<'_>,
@@ -962,7 +887,6 @@ fn run_unit(
         depth,
         ..Ctx::default()
     };
-    let mut surf = target.surface();
     let mut picks = PickSource::Tape(&mut tape);
     let mut mode = if record {
         Mode::Record {
@@ -1049,7 +973,7 @@ impl Executor {
     /// the spec's unit.
     pub fn run(
         &self,
-        store: &mut dyn ComplexObjectStore,
+        mut store: &mut dyn ComplexObjectStore,
         spec: &WorkloadSpec,
     ) -> Result<PlanOutcome> {
         let mut rng = self.spec_rng(spec);
@@ -1058,12 +982,11 @@ impl Executor {
         let before = store.snapshot();
 
         let mut ctx = Ctx::default();
-        let mut surf = SerialSurface(store);
         let mut picks = PickSource::Rng(&mut rng);
         match exec_linear(
             &self.refs,
             spec,
-            &mut surf,
+            &mut store,
             &mut picks,
             &mut ctx,
             &mut Mode::Inline,
@@ -1081,7 +1004,7 @@ impl Executor {
         let snapshot = store.snapshot() - before;
         Ok(PlanOutcome::Measured(PlanRun {
             snapshot,
-            units: spec.unit.resolve_units(&ctx),
+            units: spec.unit.resolve_units(ctx.top_iters, ctx.scanned),
             nav_seen: ctx.nav_seen,
             scanned: ctx.scanned,
             updates_applied: ctx.updates,
@@ -1092,9 +1015,9 @@ impl Executor {
     /// and the planning pass on the coordinator, dealt units round-robin
     /// across `threads`, outcomes merged back in plan order. `Ok(None)` is
     /// the paper's "not relevant" marker (an op the model cannot execute).
-    fn exec_shared(
+    fn exec_shared<S: Surface + Copy + Sync>(
         &self,
-        target: ExecTarget<'_>,
+        target: S,
         spec: &WorkloadSpec,
         threads: usize,
         record: bool,
@@ -1234,7 +1157,7 @@ impl Executor {
         store.reset_stats();
         let before = store.snapshot();
 
-        let exec = match self.exec_shared(ExecTarget::Shared(&*store), spec, threads, true)? {
+        let exec = match self.exec_shared(&*store, spec, threads, true)? {
             Some(exec) => exec,
             // The model does not support an op of the plan (query 1a
             // under pure NSM) — the paper's "not relevant" marker.
@@ -1265,10 +1188,7 @@ impl Executor {
         // (the shared flush quiesces writers through the pool's gate).
         store.shared_flush()?;
         let snapshot = store.snapshot() - before;
-        let units = match spec.unit {
-            crate::plan::NormUnit::Loops => exec.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => exec.scanned.max(1),
-        };
+        let units = spec.unit.resolve_units(exec.top_iters, exec.scanned);
         Ok(ConcurrentPlanRun {
             outcome: PlanOutcome::Measured(PlanRun {
                 snapshot,
@@ -1312,7 +1232,7 @@ impl Executor {
         let before = cluster.snapshot();
 
         let served = with_cluster_router(&*cluster, workers_per_node, |router| {
-            let exec = match self.exec_shared(ExecTarget::Routed(router), spec, clients, true)? {
+            let exec = match self.exec_shared(router, spec, clients, true)? {
                 Some(exec) => exec,
                 None => return Ok(None),
             };
@@ -1361,10 +1281,7 @@ impl Executor {
         };
 
         let snapshot = cluster.snapshot() - before;
-        let units = match spec.unit {
-            crate::plan::NormUnit::Loops => exec.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => exec.scanned.max(1),
-        };
+        let units = spec.unit.resolve_units(exec.top_iters, exec.scanned);
         Ok(ClusterRun {
             run: ConcurrentPlanRun {
                 outcome: PlanOutcome::Measured(PlanRun {
@@ -1404,12 +1321,12 @@ impl Executor {
         store.reset_stats();
         let before = store.snapshot();
 
-        let exec = self
-            .exec_shared(ExecTarget::Shared(&*store), spec, threads, false)?
-            .ok_or(CoreError::Unsupported {
-                model: "plan executor",
-                op: "mixed-stream execution of an op the storage model rejects",
-            })?;
+        let exec =
+            self.exec_shared(&*store, spec, threads, false)?
+                .ok_or(CoreError::Unsupported {
+                    model: "plan executor",
+                    op: "mixed-stream execution of an op the storage model rejects",
+                })?;
 
         store.shared_flush()?;
         Ok(MixedRun {
@@ -1423,10 +1340,12 @@ impl Executor {
 }
 
 impl crate::plan::NormUnit {
-    fn resolve_units(self, ctx: &Ctx) -> u64 {
+    /// The normalization denominator of a run that executed `top_iters`
+    /// top-level loop iterations and scanned `scanned` objects (at least 1).
+    fn resolve_units(self, top_iters: u64, scanned: u64) -> u64 {
         match self {
-            crate::plan::NormUnit::Loops => ctx.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => ctx.scanned.max(1),
+            crate::plan::NormUnit::Loops => top_iters.max(1),
+            crate::plan::NormUnit::ScannedObjects => scanned.max(1),
         }
     }
 }
