@@ -36,7 +36,7 @@ pub use concurrent::{
 pub use dasdbs_nsm::DasdbsNsmStore;
 pub use direct::DirectStore;
 pub use error::CoreError;
-pub use nsm::NsmStore;
+pub use nsm::{nsm_connection_schema, NsmStore, RootKeyFilter};
 pub use object_file::{subtuple_page_plan, ObjAddr, ObjectFile, ReadPayload};
 pub use partitioned::{
     with_cluster_router, ClusterRouter, ClusterTicket, PartitionedStore, Placement,

@@ -33,7 +33,7 @@ use starfish_pagestore::{
     BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
     SharedBufferPool, SharedPoolHandle, SimDisk,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Flat schema of `NSM-Station`.
@@ -219,14 +219,38 @@ fn assemble(
     ])
 }
 
-/// Scans a relation, decoding tuples whose `RootKey` (attribute 0) is in
-/// `keys`, grouped per key in encounter order. Always reads the whole
-/// relation (set-oriented selection).
+/// The root-key filter of one set-oriented NSM selection: the distinct
+/// requested keys, sorted once, so each scanned tuple costs one binary
+/// search.
+pub struct RootKeyFilter {
+    keys: Vec<Key>,
+}
+
+impl RootKeyFilter {
+    /// A filter selecting every tuple whose `RootKey` is one of `keys`.
+    pub fn new(keys: impl IntoIterator<Item = Key>) -> Self {
+        let mut keys: Vec<Key> = keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        RootKeyFilter { keys }
+    }
+
+    /// The root key (attribute 0) of the flat NSM tuple `record`, if the
+    /// filter selects it. Decodes nothing else.
+    pub fn select(&self, record: &[u8]) -> Result<Option<Key>> {
+        let k = peek_root_key(record)?;
+        Ok(self.keys.binary_search(&k).is_ok().then_some(k))
+    }
+}
+
+/// Scans a relation, decoding tuples selected by `filter`, grouped per
+/// root key in encounter order. Always reads the whole relation
+/// (set-oriented selection).
 fn scan_matching(
     pool: &mut impl PageCache,
     file: &HeapFile,
     schema: &RelSchema,
-    keys: &HashSet<Key>,
+    filter: &RootKeyFilter,
 ) -> Result<HashMap<Key, Vec<Tuple>>> {
     let mut out: HashMap<Key, Vec<Tuple>> = HashMap::new();
     let mut err = None;
@@ -234,12 +258,12 @@ fn scan_matching(
         if err.is_some() {
             return;
         }
-        match peek_root_key(bytes) {
-            Ok(k) if keys.contains(&k) => match decode(bytes, schema) {
+        match filter.select(bytes) {
+            Ok(Some(k)) => match decode(bytes, schema) {
                 Ok(t) => out.entry(k).or_default().push(t),
                 Err(e) => err = Some(CoreError::from(e)),
             },
-            Ok(_) => {}
+            Ok(None) => {}
             Err(e) => err = Some(e),
         }
     })?;
@@ -276,8 +300,8 @@ fn materialize(
     root_by_scan: bool,
 ) -> Result<Tuple> {
     let station_schema = nsm_station_schema();
+    let keys = RootKeyFilter::new([key]);
     let root = if root_by_scan {
-        let keys: HashSet<Key> = [key].into();
         let found = scan_matching(pool, &state.station, &station_schema, &keys)?;
         found
             .get(&key)
@@ -320,7 +344,6 @@ fn materialize(
             )?,
         )
     } else {
-        let keys: HashSet<Key> = [key].into();
         let mut p = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
         let mut c = scan_matching(pool, &state.connection, &nsm_connection_schema(), &keys)?;
         let mut s = scan_matching(pool, &state.sightseeing, &nsm_sightseeing_schema(), &keys)?;
@@ -351,12 +374,12 @@ fn peek_root_key(bytes: &[u8]) -> Result<Key> {
 fn root_key_offset(bytes: &[u8]) -> Result<usize> {
     // Attribute offsets start right after the 20-byte tuple header; offset 0
     // entry is little-endian u32 relative to the tuple start.
-    let raw = bytes
-        .get(20..24)
-        .ok_or(CoreError::Nf2(starfish_nf2::Nf2Error::Corrupt {
+    let raw = bytes.get(20..24).ok_or_else(|| {
+        CoreError::Nf2(starfish_nf2::Nf2Error::Corrupt {
             offset: 20,
             detail: "flat tuple too short".into(),
-        }))?;
+        })
+    })?;
     Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
 }
 
@@ -725,7 +748,7 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
         let state = self.state()?;
         let pool = &mut self.pool;
         let refs = &state.refs;
-        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+        let keys = RootKeyFilter::new(refs.iter().map(|r| r.key));
         let roots = scan_matching(pool, &state.station, &nsm_station_schema(), &keys)?;
         let mut platforms = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
         let mut connections =
@@ -775,7 +798,7 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
             Ok(out)
         } else {
             // One set-oriented scan of NSM-Connection for the whole ref set.
-            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let keys = RootKeyFilter::new(refs.iter().map(|r| r.key));
             let mut by_key = scan_matching(pool, &state.connection, &schema, &keys)?;
             // Preserve per-ref order (and duplicate refs duplicate output).
             let mut out = Vec::new();
@@ -819,7 +842,7 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
                 })
                 .collect()
         } else {
-            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let keys = RootKeyFilter::new(refs.iter().map(|r| r.key));
             let by_key = scan_matching(pool, &state.station, &schema, &keys)?;
             refs.iter()
                 .map(|r| {
@@ -1199,6 +1222,42 @@ mod tests {
             s.get_by_key(999, &Projection::All),
             Err(CoreError::NotFound { .. })
         ));
+    }
+
+    fn station_record(key: Key) -> Vec<u8> {
+        let t = Tuple::new(vec![
+            Value::Int(key),
+            Value::Int(0),
+            Value::Int(0),
+            Value::Str("n".into()),
+        ]);
+        encode(&t, &nsm_station_schema()).unwrap()
+    }
+
+    #[test]
+    fn short_record_has_no_root_key() {
+        let record = station_record(7);
+        for len in 0..24 {
+            assert_eq!(
+                peek_root_key(&record[..len]),
+                Err(CoreError::Nf2(starfish_nf2::Nf2Error::Corrupt {
+                    offset: 20,
+                    detail: "flat tuple too short".into(),
+                })),
+                "len={len}"
+            );
+        }
+        assert_eq!(peek_root_key(&record), Ok(7));
+    }
+
+    #[test]
+    fn root_key_filter_selects_exactly_its_keys() {
+        let keys = [9, 2, 7, 2, 11, 0, 5, -3];
+        let filter = RootKeyFilter::new(keys);
+        for k in -5..14 {
+            let expect = keys.contains(&k).then_some(k);
+            assert_eq!(filter.select(&station_record(k)), Ok(expect), "key={k}");
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn decode_attr(bytes: &[u8], ty: &AttrType, start: usize) -> Result<Value> {
             let len = get_u16(bytes, start)? as usize;
             let s = bytes
                 .get(start + 2..start + 2 + len)
-                .ok_or(Nf2Error::Corrupt {
+                .ok_or_else(|| Nf2Error::Corrupt {
                     offset: start,
                     detail: format!("string of length {len} truncated"),
                 })?;
@@ -266,7 +266,7 @@ fn get_u16(bytes: &[u8], at: usize) -> Result<u16> {
     bytes
         .get(at..at + 2)
         .map(|s| u16::from_le_bytes(s.try_into().expect("2-byte slice")))
-        .ok_or(Nf2Error::Corrupt {
+        .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u16)".into(),
         })
@@ -276,7 +276,7 @@ fn get_u32(bytes: &[u8], at: usize) -> Result<u32> {
     bytes
         .get(at..at + 4)
         .map(|s| u32::from_le_bytes(s.try_into().expect("4-byte slice")))
-        .ok_or(Nf2Error::Corrupt {
+        .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u32)".into(),
         })
@@ -387,11 +387,55 @@ mod tests {
         ));
     }
 
+    /// Every bounds-checked read `decode` makes of a tuple, in decoding
+    /// order, as `(offset, end, detail)`: the error a buffer cut before
+    /// `end` must report. Derived from the encoder's layout, not the decoder.
+    fn checked_reads(
+        layout: &TupleLayout,
+        schema: &RelSchema,
+        out: &mut Vec<(usize, usize, String)>,
+    ) {
+        let u16_read = |at: usize| (at, at + 2, "truncated (u16)".to_string());
+        let u32_read = |at: usize| (at, at + 4, "truncated (u32)".to_string());
+        let p = layout.start as usize;
+        out.extend([u16_read(p), u16_read(p + 2), u16_read(p + 4)]);
+        for (i, (def, al)) in schema.attrs.iter().zip(&layout.attrs).enumerate() {
+            out.push(u32_read(p + overhead::TUPLE_HEADER + 4 * i));
+            let (at, len) = (al.start as usize, al.len as usize);
+            match &def.ty {
+                AttrType::Int | AttrType::Link => out.push(u32_read(at)),
+                AttrType::Str => {
+                    out.push(u16_read(at));
+                    let detail = format!("string of length {} truncated", len - 2);
+                    out.push((at, at + len, detail));
+                }
+                AttrType::Rel(sub) => {
+                    out.push(u32_read(at));
+                    for (j, tl) in al.tuples.iter().enumerate() {
+                        out.push(u32_read(at + overhead::SUBREL_HEADER + 4 * j));
+                        checked_reads(tl, sub, out);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn decode_rejects_truncation() {
-        let bytes = encode(&tuple(), &schema()).unwrap();
-        for cut in [3, 10, 25, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut], &schema()).is_err(), "cut={cut}");
+        let (bytes, layout) = encode_with_layout(&tuple(), &schema()).unwrap();
+        let mut reads = Vec::new();
+        checked_reads(&layout, &schema(), &mut reads);
+        for cut in 0..bytes.len() {
+            let (offset, _, detail) = reads
+                .iter()
+                .find(|(_, end, _)| *end > cut)
+                .cloned()
+                .expect("some read crosses every cut");
+            assert_eq!(
+                decode(&bytes[..cut], &schema()),
+                Err(Nf2Error::Corrupt { offset, detail }),
+                "cut={cut}"
+            );
         }
     }
 

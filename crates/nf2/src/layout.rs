@@ -122,7 +122,7 @@ impl AttrLayout {
 }
 
 fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let s = bytes.get(*pos..*pos + 4).ok_or(Nf2Error::Corrupt {
+    let s = bytes.get(*pos..*pos + 4).ok_or_else(|| Nf2Error::Corrupt {
         offset: *pos,
         detail: "truncated layout (u32)".into(),
     })?;
@@ -131,7 +131,7 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
 }
 
 fn read_u16(bytes: &[u8], pos: &mut usize) -> Result<u16> {
-    let s = bytes.get(*pos..*pos + 2).ok_or(Nf2Error::Corrupt {
+    let s = bytes.get(*pos..*pos + 2).ok_or_else(|| Nf2Error::Corrupt {
         offset: *pos,
         detail: "truncated layout (u16)".into(),
     })?;
@@ -196,11 +196,42 @@ mod tests {
         assert_eq!(TupleLayout::from_bytes(&bytes).unwrap(), l);
     }
 
+    /// The widths of the serialized fields of `l`, in order.
+    fn field_widths(l: &TupleLayout, out: &mut Vec<usize>) {
+        out.extend([4, 4, 2]); // start, len, attr count
+        for a in &l.attrs {
+            out.extend([4, 4, 4]); // start, len, tuple count
+            for t in &a.tuples {
+                field_widths(t, out);
+            }
+        }
+    }
+
     #[test]
     fn from_bytes_rejects_truncation() {
-        let bytes = sample_layout().to_bytes();
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            assert!(TupleLayout::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
+        let l = sample_layout();
+        let bytes = l.to_bytes();
+        let mut widths = Vec::new();
+        field_widths(&l, &mut widths);
+        let fields: Vec<(usize, usize)> = widths
+            .iter()
+            .scan(0, |at, &w| {
+                *at += w;
+                Some((*at - w, w))
+            })
+            .collect();
+        for cut in 0..bytes.len() {
+            // Fields are read front to back: the one holding byte `cut` fails.
+            let &(offset, width) = fields
+                .iter()
+                .find(|(at, w)| at + w > cut)
+                .expect("a field holds every byte");
+            let detail = format!("truncated layout (u{})", 8 * width);
+            assert_eq!(
+                TupleLayout::from_bytes(&bytes[..cut]),
+                Err(Nf2Error::Corrupt { offset, detail }),
+                "cut={cut}"
+            );
         }
     }
 

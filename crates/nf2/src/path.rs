@@ -43,10 +43,13 @@ impl Projection {
             Projection::All => Ok(()),
             Projection::Attrs(attrs) => {
                 for (i, sub) in attrs {
-                    let def = schema.attrs.get(*i).ok_or(Nf2Error::BadProjection {
-                        attr: *i,
-                        available: schema.arity(),
-                    })?;
+                    let def = schema
+                        .attrs
+                        .get(*i)
+                        .ok_or_else(|| Nf2Error::BadProjection {
+                            attr: *i,
+                            available: schema.arity(),
+                        })?;
                     match (&def.ty, sub) {
                         (AttrType::Rel(s), p) => p.validate(s)?,
                         (_, Projection::All) => {}

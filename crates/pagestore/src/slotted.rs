@@ -144,27 +144,22 @@ pub fn delete(page: &mut [u8; PAGE_SIZE], slot: u16) -> Result<()> {
     Ok(())
 }
 
-/// Returns `(slot, body)` for every live record, in slot order.
-pub fn live_records(page: &[u8; PAGE_SIZE]) -> Vec<(u16, &[u8])> {
-    (0..slot_count(page))
-        .filter_map(|s| {
-            let (off, len) = slot_entry(page, s);
-            if off == 0 && len == 0 {
-                None
-            } else {
-                Some((s, &page[off as usize..(off + len) as usize]))
-            }
-        })
-        .collect()
+/// Yields `(slot, body)` for every live record, in slot order.
+pub fn live_records(page: &[u8; PAGE_SIZE]) -> impl Iterator<Item = (u16, &[u8])> {
+    (0..slot_count(page)).filter_map(move |s| {
+        let (off, len) = slot_entry(page, s);
+        if off == 0 && len == 0 {
+            None
+        } else {
+            Some((s, &page[off as usize..(off + len) as usize]))
+        }
+    })
 }
 
 /// Rewrites record bodies to remove fragmentation from deletions. Slot ids
 /// (RIDs) are preserved.
 pub fn compact(page: &mut [u8; PAGE_SIZE]) {
-    let entries: Vec<(u16, Vec<u8>)> = live_records(page)
-        .into_iter()
-        .map(|(s, b)| (s, b.to_vec()))
-        .collect();
+    let entries: Vec<(u16, Vec<u8>)> = live_records(page).map(|(s, b)| (s, b.to_vec())).collect();
     let mut low = PAGE_SIZE;
     for (s, body) in &entries {
         low -= body.len();
@@ -241,7 +236,7 @@ mod tests {
         assert!(is_slotted(&p));
         assert_eq!(slot_count(&p), 0);
         assert_eq!(free_content_bytes(&p), EFFECTIVE_PAGE_SIZE);
-        assert!(live_records(&p).is_empty());
+        assert!(live_records(&p).next().is_none());
     }
 
     #[test]
@@ -314,7 +309,7 @@ mod tests {
         // Reuses the tombstoned slot id.
         let s2 = insert(&mut p, b"three").unwrap();
         assert_eq!(s2, s0);
-        assert_eq!(live_records(&p).len(), 2);
+        assert_eq!(live_records(&p).count(), 2);
     }
 
     #[test]

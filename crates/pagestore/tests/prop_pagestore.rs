@@ -75,7 +75,45 @@ proptest! {
             for (&slot, body) in &model {
                 slotted::read(&page, slot, |b| assert_eq!(b, &body[..])).unwrap();
             }
-            prop_assert_eq!(slotted::live_records(&page).len(), model.len());
+            prop_assert_eq!(slotted::live_records(&page).count(), model.len());
+        }
+    }
+
+    /// The `live_records` walk yields exactly what reading every slot one by
+    /// one yields: the live `(slot, body)` pairs in slot order, tombstones
+    /// skipped.
+    #[test]
+    fn live_records_matches_per_slot_reads(ops in proptest::collection::vec(arb_page_op(), 0..120)) {
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        slotted::init(&mut page);
+        let mut live: Vec<u16> = Vec::new();
+        for op in ops {
+            match op {
+                PageOp::Insert(body) => {
+                    if let Ok(slot) = slotted::insert(&mut page, &body) {
+                        live.push(slot);
+                    }
+                }
+                PageOp::Delete(i) if !live.is_empty() => {
+                    let slot = live.swap_remove(i % live.len());
+                    slotted::delete(&mut page, slot).unwrap();
+                }
+                PageOp::Update(i, b) if !live.is_empty() => {
+                    let slot = live[i % live.len()];
+                    let len = slotted::read(&page, slot, <[u8]>::len).unwrap();
+                    slotted::update_in_place(&mut page, slot, &vec![b; len]).unwrap();
+                }
+                PageOp::Compact => slotted::compact(&mut page),
+                _ => {}
+            }
+            let walked: Vec<(u16, Vec<u8>)> = slotted::live_records(&page)
+                .map(|(slot, body)| (slot, body.to_vec()))
+                .collect();
+            let read: Vec<(u16, Vec<u8>)> = (0..slotted::slot_count(&page))
+                .filter_map(|slot| slotted::read(&page, slot, |b| (slot, b.to_vec())).ok())
+                .collect();
+            prop_assert_eq!(read.len(), live.len());
+            prop_assert_eq!(walked, read);
         }
     }
 
