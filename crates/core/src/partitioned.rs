@@ -76,8 +76,9 @@ impl Placement {
 }
 
 /// A shared-nothing cluster of single-model stores with whole-object
-/// placement. Each node serves concurrently from its own sharded pool; see
-/// the [module docs](self).
+/// placement. Each node serves concurrently from its own sharded pool;
+/// object ops route to the owning node, and cross-node ops (scans,
+/// flushes) fan out and merge in ascending node order.
 pub struct PartitionedStore {
     kind: ModelKind,
     placement: Placement,
@@ -405,7 +406,7 @@ impl ConcurrentObjectStore for PartitionedStore {
 // The cluster router: per-node reactor pools behind one dispatch surface
 // ---------------------------------------------------------------------------
 
-/// A completion token from [`ClusterRouter::submit`]-style calls: which
+/// A completion token from the [`ClusterRouter`]'s `submit_*` calls: which
 /// node's reactor holds the completion, plus its local ticket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterTicket {

@@ -459,7 +459,7 @@ const BASELINE_NODES: [usize; 2] = [1, 3];
 const BASELINE_WORKERS: [usize; 2] = [1, 4];
 
 /// The deterministic cluster fingerprint behind `BENCH_cluster.json`:
-/// query 3b served at [`BASELINE_CLIENTS`] clients across a nodes ×
+/// query 3b served at `BASELINE_CLIENTS` (8) clients across a nodes ×
 /// workers grid, emitting only scheduling-independent columns — units,
 /// total fixes, update count, navigation footprint, per-node fixes and
 /// per-node disk checksums. Rows of the same (model, nodes) must be

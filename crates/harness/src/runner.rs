@@ -108,7 +108,7 @@ where
 /// client counts), `Ok(Some(n))` for a valid `--threads n`, and `Err` with
 /// a user-facing message for a missing, non-numeric or **zero** value —
 /// zero clients cannot serve anything, and letting it through used to
-/// reach `SharedBufferPool::new(_, _, 0)`'s "need at least one shard"
+/// reach `SharedBufferPool::new(_, 0)`'s "need at least one shard"
 /// panic deep in the stack instead of a clean CLI error.
 pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, String> {
     parse_flag_value(args, "--threads", "a client count", 1)

@@ -6,16 +6,36 @@ use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::stats::{BufferStats, IoSnapshot};
 use crate::wal::WalConfig;
 use crate::DEFAULT_BUFFER_PAGES;
-use crate::{PageId, Result, SimDisk, PAGE_SIZE};
+use crate::{PageId, Result, SimDisk, StoreError, PAGE_SIZE};
 use std::collections::HashMap;
 
-/// Maximum pages per grouped write call at flush time.
+/// Maximum pages per grouped I/O call: flush-time writes, WAL replay and
+/// the batched read engine's coalesced reads.
 ///
 /// DASDBS batches deferred writes into multi-page calls; the paper observed
 /// "on the average respectively 30 and 20 pages per write for query 3"
-/// (§5.2). We cap grouped write runs at 32 pages so flush-time call counts
-/// land in the same regime instead of degenerating into one giant call.
+/// (§5.2). We cap grouped runs at 32 pages so call counts land in the same
+/// regime instead of degenerating into one giant call.
 pub const MAX_PAGES_PER_WRITE_CALL: u32 = 32;
+
+/// Splits `pids` (sorted ascending, distinct) into maximal contiguous runs
+/// of at most [`MAX_PAGES_PER_WRITE_CALL`] pages, as `(first, len)` pairs in
+/// page order. The one place a page list becomes I/O calls: flushes, WAL
+/// replay and the batched read engine all group through it.
+pub(crate) fn page_runs(pids: &[PageId]) -> impl Iterator<Item = (PageId, u32)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let &first = pids.get(i)?;
+        let mut len = 1u32;
+        while len < MAX_PAGES_PER_WRITE_CALL
+            && pids.get(i + len as usize) == Some(&first.offset(len))
+        {
+            len += 1;
+        }
+        i += len as usize;
+        Some((first, len))
+    })
+}
 
 /// Buffer-pool construction parameters: capacity plus replacement policy.
 ///
@@ -89,9 +109,10 @@ impl BufferConfig {
 
     /// Builds a [`BufferPool`] over `disk` with this configuration.
     pub fn build(self, disk: SimDisk) -> BufferPool {
-        let mut pool = BufferPool::with_policy(disk, self.pages, self.policy);
-        pool.core.set_heat(self.heat);
-        pool
+        BufferPool {
+            disk,
+            core: PoolCore::new(self.pages, self.policy, self.heat),
+        }
     }
 }
 
@@ -112,9 +133,13 @@ pub(crate) struct Frame {
 ///
 /// [`BufferPool`] wraps exactly one core over an exclusively-owned
 /// [`SimDisk`]; [`crate::SharedBufferPool`] wraps one core per lock-striped
-/// shard over a shared disk. Both run the *identical* logic — which is what
-/// makes a one-shard shared pool counter-for-counter indistinguishable from
-/// the single-threaded pool (`tests/prop_shared_buffer.rs` pins that down).
+/// shard over a `SimDisk` behind a mutex. Every page-I/O decision that
+/// spans pages — run loads, prefetch, flush — is written once, in
+/// [`PoolCores`], over "the cores that own these pages": the exclusive pool
+/// passes its single core, the shared pool its locked shard guards. That
+/// one code path is what makes a one-shard shared pool counter-for-counter
+/// indistinguishable from the single-threaded pool
+/// (`tests/prop_shared_buffer.rs` pins that down).
 pub(crate) struct PoolCore {
     capacity: usize,
     /// Frame slots; `None` entries are free and listed in `free`.
@@ -129,7 +154,9 @@ pub(crate) struct PoolCore {
 }
 
 impl PoolCore {
-    pub(crate) fn new(capacity: usize, policy: PolicyKind) -> Self {
+    /// An empty core of `capacity` frames running `policy`, tracking page
+    /// heat when `heat.track` is on.
+    pub(crate) fn new(capacity: usize, policy: PolicyKind, heat: HeatConfig) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         PoolCore {
             capacity,
@@ -138,13 +165,8 @@ impl PoolCore {
             table: HashMap::with_capacity(capacity.min(1 << 20)),
             policy: policy.build(),
             stats: BufferStats::default(),
-            heat: None,
+            heat: heat.track.then(|| HeatTracker::new(heat)),
         }
-    }
-
-    /// Enables heat tracking per `config` (a no-op config disables it).
-    pub(crate) fn set_heat(&mut self, config: HeatConfig) {
-        self.heat = config.track.then(|| HeatTracker::new(config));
     }
 
     /// The tracked heat map, sorted by page id; empty with tracking off.
@@ -228,7 +250,7 @@ impl PoolCore {
             }
             None => {
                 self.stats.misses += 1;
-                self.load_run(disk, pid, 1)?;
+                self.load(disk, pid, 1)?;
                 self.table[&pid]
             }
         };
@@ -266,56 +288,8 @@ impl PoolCore {
         }
     }
 
-    /// Ensures the run `[first, first+n)` is cached, one read call per
-    /// maximal contiguous missing sub-run. Does not count fixes.
-    pub(crate) fn prefetch_run<D: DiskOps>(
-        &mut self,
-        disk: &mut D,
-        first: PageId,
-        n: u32,
-    ) -> Result<()> {
-        let mut i = 0;
-        while i < n {
-            let pid = first.offset(i);
-            if let Some(&slot) = self.table.get(&pid) {
-                self.policy.on_access(slot);
-                i += 1;
-                continue;
-            }
-            // Extend the missing run as far as possible.
-            let mut len = 1;
-            while i + len < n && !self.table.contains_key(&first.offset(i + len)) {
-                len += 1;
-            }
-            self.load_run(disk, first.offset(i), len)?;
-            i += len;
-        }
-        Ok(())
-    }
-
-    /// Loads `n` contiguous uncached pages in one read call.
-    pub(crate) fn load_run<D: DiskOps>(
-        &mut self,
-        disk: &mut D,
-        first: PageId,
-        n: u32,
-    ) -> Result<()> {
-        for i in 0..n {
-            debug_assert!(!self.table.contains_key(&first.offset(i)));
-        }
-        self.make_room(disk, n as usize)?;
-        let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
-        disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
-        for (i, data) in images.into_iter().enumerate() {
-            let pid = first.offset(i as u32);
-            self.insert_frame(pid, data);
-        }
-        Ok(())
-    }
-
     /// Installs a page image in a fresh frame (the page must not be
-    /// resident). Used by the shared pool after a run read whose images are
-    /// distributed across shards.
+    /// resident).
     pub(crate) fn insert_frame(&mut self, pid: PageId, data: [u8; PAGE_SIZE]) {
         debug_assert!(!self.table.contains_key(&pid));
         let slot = self.alloc_slot();
@@ -381,36 +355,6 @@ impl PoolCore {
             .collect()
     }
 
-    /// Writes all dirty pages back, grouped into contiguous runs of at most
-    /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call.
-    pub(crate) fn flush_all<D: DiskOps>(&mut self, disk: &mut D) -> Result<()> {
-        let mut dirty = self.dirty_pages();
-        dirty.sort_unstable();
-        let mut i = 0;
-        while i < dirty.len() {
-            let start = dirty[i];
-            let mut len = 1u32;
-            while i + (len as usize) < dirty.len()
-                && dirty[i + len as usize].0 == start.0 + len
-                && len < MAX_PAGES_PER_WRITE_CALL
-            {
-                len += 1;
-            }
-            let frames = &self.frames;
-            let table = &self.table;
-            disk.write_run_dyn(start, len, &mut |j| {
-                let slot = table[&start.offset(j)];
-                frames[slot].as_ref().expect("dirty frame present").data
-            })?;
-            for j in 0..len {
-                let slot = self.table[&start.offset(j)];
-                self.frame_mut(slot).dirty = false;
-            }
-            i += len as usize;
-        }
-        Ok(())
-    }
-
     /// Counts a group-latch acquisition of `n` pages — the accounting half
     /// of [`crate::PageCache::latch_pages`], shared by both pool flavours so
     /// the same storage code reports identical latch totals on either.
@@ -430,6 +374,153 @@ impl PoolCore {
             self.free.push(slot);
         }
         debug_assert!(self.policy.is_empty());
+    }
+}
+
+/// The pool cores that own a set of pages, and the page-I/O path written
+/// once over them.
+///
+/// [`BufferPool`] passes its single [`PoolCore`]; the shared pool passes the
+/// guards of the shards it locked, in ascending shard order. Each
+/// multi-page decision — which pages form a read call, which victims make
+/// room and in what order, how dirty pages group into write calls — lives
+/// in the provided methods below, so both pools make it identically.
+pub(crate) trait PoolCores {
+    /// Number of cores in the set.
+    fn count(&self) -> usize;
+
+    /// Position of the core owning `pid` (it must be in the set).
+    fn owner(&self, pid: PageId) -> usize;
+
+    /// Core at position `c`.
+    fn core(&self, c: usize) -> &PoolCore;
+
+    /// Core at position `c`, mutably.
+    fn core_mut(&mut self, c: usize) -> &mut PoolCore;
+
+    /// The core owning `pid`.
+    fn at(&mut self, pid: PageId) -> &mut PoolCore {
+        let c = self.owner(pid);
+        self.core_mut(c)
+    }
+
+    /// Makes room for the pages of `[first, first+n)` that `wanted`
+    /// selects, core by core in ascending order (evictions may write).
+    fn make_room_for<D: DiskOps>(
+        &mut self,
+        disk: &mut D,
+        first: PageId,
+        n: u32,
+        wanted: impl Fn(u32) -> bool,
+    ) -> Result<()> {
+        for c in 0..self.count() {
+            let m = (0..n)
+                .filter(|&j| wanted(j) && self.owner(first.offset(j)) == c)
+                .count();
+            if m > 0 {
+                self.core_mut(c).make_room(disk, m)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Loads the run `[first, first+n)`, none of it resident, in one read
+    /// call: room first, then each image straight into its owning core.
+    /// Counts no fixes.
+    fn load<D: DiskOps>(&mut self, disk: &mut D, first: PageId, n: u32) -> Result<()> {
+        self.make_room_for(disk, first, n, |_| true)?;
+        disk.read_run_dyn(first, n, &mut |j, data| {
+            let pid = first.offset(j);
+            self.at(pid).insert_frame(pid, *data);
+        })
+    }
+
+    /// Ensures the run `[first, first+n)` is cached, one read call per
+    /// maximal contiguous missing sub-run. Walks the run in page order:
+    /// a resident page gets a policy touch, a missing stretch is loaded
+    /// as far as it reaches (uncapped), and residency is re-checked after
+    /// every load because its evictions may take later pages of the run.
+    /// Counts no fixes.
+    fn prefetch<D: DiskOps>(&mut self, disk: &mut D, first: PageId, n: u32) -> Result<()> {
+        let mut i = 0;
+        while i < n {
+            let pid = first.offset(i);
+            if self.at(pid).touch(pid) {
+                i += 1;
+                continue;
+            }
+            let mut len = 1;
+            while i + len < n {
+                let q = first.offset(i + len);
+                if self.core(self.owner(q)).is_cached(q) {
+                    break;
+                }
+                len += 1;
+            }
+            self.load(disk, pid, len)?;
+            i += len;
+        }
+        Ok(())
+    }
+
+    /// Writes every dirty page back, grouped by [`page_runs`].
+    fn flush<D: DiskOps>(&mut self, disk: &mut D) -> Result<()> {
+        let mut dirty: Vec<PageId> = (0..self.count())
+            .flat_map(|c| self.core(c).dirty_pages())
+            .collect();
+        dirty.sort_unstable();
+        self.write_back(disk, &dirty)
+    }
+
+    /// Writes the pages of `dirty` (sorted, distinct) back, one call per
+    /// [`page_runs`] run, then marks them clean.
+    ///
+    /// A listed page that is not resident is a bookkeeping fault; it
+    /// surfaces as [`StoreError::DirtyNotResident`] before any page of its
+    /// run is written. Dirty bits are cleared only after every run reached
+    /// the disk, so a failed flush leaves all pages dirty and retryable.
+    fn write_back<D: DiskOps>(&mut self, disk: &mut D, dirty: &[PageId]) -> Result<()> {
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        for (first, n) in page_runs(dirty) {
+            frames.clear();
+            for pid in (0..n).map(|j| first.offset(j)) {
+                let c = self.owner(pid);
+                let slot = self
+                    .core(c)
+                    .slot_of(pid)
+                    .ok_or(StoreError::DirtyNotResident { page: pid })?;
+                frames.push((c, slot));
+            }
+            disk.write_run_dyn(first, n, &mut |j| {
+                let (c, slot) = frames[j as usize];
+                self.core(c).frame(slot).data
+            })?;
+        }
+        for &pid in dirty {
+            let core = self.at(pid);
+            if let Some(slot) = core.slot_of(pid) {
+                core.frame_mut(slot).dirty = false;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PoolCores for PoolCore {
+    fn count(&self) -> usize {
+        1
+    }
+
+    fn owner(&self, _: PageId) -> usize {
+        0
+    }
+
+    fn core(&self, _: usize) -> &PoolCore {
+        self
+    }
+
+    fn core_mut(&mut self, _: usize) -> &mut PoolCore {
+        self
     }
 }
 
@@ -471,10 +562,9 @@ impl BufferPool {
     /// Creates a pool of `capacity` pages over `disk` with an explicit
     /// replacement policy.
     pub fn with_policy(disk: SimDisk, capacity: usize, policy: PolicyKind) -> Self {
-        BufferPool {
-            disk,
-            core: PoolCore::new(capacity, policy),
-        }
+        BufferConfig::with_pages(capacity)
+            .policy(policy)
+            .build(disk)
     }
 
     /// Creates a pool with the paper's default capacity (1200 pages).
@@ -552,7 +642,7 @@ impl BufferPool {
     /// (e.g. one call for a large object's data pages). Does not count fixes;
     /// follow with [`BufferPool::with_page`] per page actually accessed.
     pub fn prefetch_run(&mut self, first: PageId, n: u32) -> Result<()> {
-        self.core.prefetch_run(&mut self.disk, first, n)
+        self.core.prefetch(&mut self.disk, first, n)
     }
 
     /// True if `pid` is currently cached (no side effects, no accounting).
@@ -564,7 +654,7 @@ impl BufferPool {
     /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call — the "database
     /// disconnect" of the paper's measurement protocol.
     pub fn flush_all(&mut self) -> Result<()> {
-        self.core.flush_all(&mut self.disk)
+        self.core.flush(&mut self.disk)
     }
 
     /// Flushes and drops every cached page: a cold restart between

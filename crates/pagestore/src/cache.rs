@@ -22,7 +22,8 @@ use crate::{BufferPool, PageId, PolicyKind, Result, PAGE_SIZE};
 
 /// The buffer-pool operations the storage layers need.
 ///
-/// See the [module docs](self) for why this exists. Implementations must
+/// The same storage code runs over the exclusive [`BufferPool`] or a
+/// [`SharedPoolHandle`](crate::SharedPoolHandle) through it. Implementations must
 /// preserve the accounting contract of [`BufferPool`]: every
 /// [`with_page`](PageCache::with_page) / [`with_page_mut`](PageCache::with_page_mut)
 /// is one counted fix (hit or miss); [`prefetch_run`](PageCache::prefetch_run)

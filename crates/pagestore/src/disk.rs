@@ -1,5 +1,6 @@
 use crate::stats::DiskStats;
 use crate::{PageId, Result, StoreError, PAGE_SIZE};
+use std::sync::Mutex;
 
 /// The simulated disk: an in-memory array of 2048-byte pages with a bump
 /// extent allocator and physical I/O accounting.
@@ -106,7 +107,7 @@ impl SimDisk {
     /// FNV-1a checksum of the full page array (uncounted — a debugging and
     /// differential-testing fingerprint, not an I/O).
     pub fn checksum(&self) -> u64 {
-        fnv1a_pages(&self.pages)
+        fnv1a_bytes(self.pages.as_flattened())
     }
 
     /// Current physical I/O counters.
@@ -148,23 +149,10 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over a page array — shared by [`SimDisk`] and the shared disk so
-/// their fingerprints are comparable for identical content.
-pub(crate) fn fnv1a_pages(pages: &[[u8; PAGE_SIZE]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for page in pages {
-        for &b in page.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
 /// The physical-I/O operations the buffer-pool core needs, abstracted so the
-/// identical eviction/flush/load logic can run over an exclusively-owned
-/// [`SimDisk`] (the single-threaded [`crate::BufferPool`]) or a reference to
-/// the lock-protected shared disk behind [`crate::SharedBufferPool`].
+/// one eviction/load/flush path runs over an exclusively-owned [`SimDisk`]
+/// (the single-threaded [`crate::BufferPool`]) or over the same `SimDisk`
+/// behind the [`crate::SharedBufferPool`]'s disk mutex, locked per call.
 pub(crate) trait DiskOps {
     /// Reads `n` contiguous pages from `first` in one I/O call.
     fn read_run_dyn(
@@ -201,6 +189,32 @@ impl DiskOps for SimDisk {
     ) -> Result<()> {
         self.write_run(first, n, source)
     }
+}
+
+impl DiskOps for &Mutex<SimDisk> {
+    fn read_run_dyn(
+        &mut self,
+        first: PageId,
+        n: u32,
+        sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
+    ) -> Result<()> {
+        lock_disk(self).read_run(first, n, sink)
+    }
+
+    fn write_run_dyn(
+        &mut self,
+        first: PageId,
+        n: u32,
+        source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
+    ) -> Result<()> {
+        lock_disk(self).write_run(first, n, source)
+    }
+}
+
+/// Locks a shared disk, recovering from poisoning like every other lock of
+/// the shared pool (a panicking page callback must not wedge the disk).
+pub(crate) fn lock_disk(disk: &Mutex<SimDisk>) -> std::sync::MutexGuard<'_, SimDisk> {
+    disk.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -13,15 +13,17 @@
 //! 2. the first submitter to find no drain in flight elects itself
 //!    **leader**: it yields once (the batching window — concurrent misses
 //!    pile into the queue behind it), then takes the whole queue;
-//! 3. the leader **coalesces** the batch: sorts the distinct page ids and
-//!    merges adjacent ones into maximal contiguous runs (capped at
-//!    [`IoEngineConfig::max_batch_pages`]), so a storm of single-page
-//!    misses over one extent becomes a handful of multi-page `read_run`
-//!    calls — DASDBS's multi-page I/O applied to demand misses;
+//! 3. the leader **coalesces** the batch: sorts and deduplicates the page
+//!    ids and groups them with the pool's one run builder (maximal
+//!    contiguous runs of at most [`crate::MAX_PAGES_PER_WRITE_CALL`]
+//!    pages, the cap flush writes use), so a storm of single-page misses
+//!    over one extent becomes a handful of multi-page `read_run` calls —
+//!    DASDBS's multi-page I/O applied to demand misses;
 //! 4. the pool-provided callback performs each run read and the
-//!    **completion-driven frame fill** (install images into their owning
-//!    shards); the leader then marks every drained token complete and
-//!    wakes all waiters.
+//!    **completion-driven frame fill** (the same make-room-then-insert
+//!    step a synchronous run load uses, into the owning shards); the
+//!    leader then marks every drained token complete and wakes all
+//!    waiters.
 //!
 //! The engine is *only* a request/completion state machine plus counters —
 //! it owns no pages and takes no shard locks, which keeps the lock order
@@ -42,50 +44,26 @@
 //! code path and counter is byte-identical to the synchronous pool — the
 //! paper's golden tables stay pinned.
 
+use crate::buffer::page_runs;
 use crate::{PageId, Result};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
-
-/// Default cap on pages per coalesced read call — the same regime as
-/// [`crate::MAX_PAGES_PER_WRITE_CALL`], so batched reads and grouped
-/// flush writes stay comparable call-for-call.
-pub const DEFAULT_MAX_BATCH_PAGES: u32 = 32;
 
 /// Configuration for the batched read engine.
 ///
 /// Carried by [`crate::BufferConfig::io`]; the default (`enabled: false`)
 /// keeps the shared pool on the synchronous miss path with counters
 /// byte-identical to the paper's serial measurements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoEngineConfig {
     /// Route buffer misses through the submission/completion engine.
     pub enabled: bool,
-    /// Cap on pages per coalesced read call (≥ 1).
-    pub max_batch_pages: u32,
-}
-
-impl Default for IoEngineConfig {
-    fn default() -> Self {
-        IoEngineConfig {
-            enabled: false,
-            max_batch_pages: DEFAULT_MAX_BATCH_PAGES,
-        }
-    }
 }
 
 impl IoEngineConfig {
-    /// An enabled engine with the default batch cap.
+    /// An enabled engine.
     pub fn enabled() -> Self {
-        IoEngineConfig {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Sets the per-call page cap (clamped to ≥ 1).
-    pub fn max_batch_pages(mut self, pages: u32) -> Self {
-        self.max_batch_pages = pages.max(1);
-        self
+        IoEngineConfig { enabled: true }
     }
 }
 
@@ -157,14 +135,13 @@ impl EngineQueue {
 /// original single-queue engine.
 pub(crate) struct IoEngine {
     queues: Vec<EngineQueue>,
-    max_batch_pages: u32,
 }
 
 impl IoEngine {
-    pub(crate) fn new(config: IoEngineConfig, shards: usize) -> Self {
+    /// An engine with one submission queue per pool shard.
+    pub(crate) fn new(shards: usize) -> Self {
         IoEngine {
             queues: (0..shards.max(1)).map(|_| EngineQueue::new()).collect(),
-            max_batch_pages: config.max_batch_pages.max(1),
         }
     }
 
@@ -219,7 +196,7 @@ impl IoEngine {
         std::thread::yield_now();
         st = q.state.lock().unwrap_or_else(|e| e.into_inner());
         let batch = std::mem::take(&mut st.queue);
-        let runs = coalesce(batch.iter().map(|r| r.pid), self.max_batch_pages);
+        let runs = coalesce(batch.iter().map(|r| r.pid));
         st.counters.batched_read_calls += runs.len() as u64;
         st.counters.coalesced_pages += runs
             .iter()
@@ -259,28 +236,14 @@ impl IoEngine {
     }
 }
 
-/// Coalesces requested page ids into maximal contiguous runs of distinct
-/// pages, each at most `max_batch_pages` long. Duplicate requests (two
-/// fixers missing the same page) fold into one transfer.
-fn coalesce(pids: impl Iterator<Item = PageId>, max_batch_pages: u32) -> Vec<(PageId, u32)> {
+/// Coalesces requested page ids into the [`page_runs`] of their distinct
+/// pages. Duplicate requests (two fixers missing the same page) fold into
+/// one transfer.
+fn coalesce(pids: impl Iterator<Item = PageId>) -> Vec<(PageId, u32)> {
     let mut pids: Vec<PageId> = pids.collect();
     pids.sort_unstable();
     pids.dedup();
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < pids.len() {
-        let start = pids[i];
-        let mut len = 1u32;
-        while i + (len as usize) < pids.len()
-            && pids[i + len as usize].0 == start.0 + len
-            && len < max_batch_pages
-        {
-            len += 1;
-        }
-        runs.push((start, len));
-        i += len as usize;
-    }
-    runs
+    page_runs(&pids).collect()
 }
 
 #[cfg(test)]
@@ -293,7 +256,7 @@ mod tests {
     fn coalesce_merges_adjacent_and_dedups() {
         let pids = [7u32, 3, 4, 4, 5, 9, 0].map(PageId);
         assert_eq!(
-            coalesce(pids.into_iter(), 32),
+            coalesce(pids.into_iter()),
             vec![
                 (PageId(0), 1),
                 (PageId(3), 3),
@@ -302,17 +265,17 @@ mod tests {
             ]
         );
         // The cap splits long runs.
-        let long = (0u32..10).map(PageId);
+        let long = (0u32..70).map(PageId);
         assert_eq!(
-            coalesce(long, 4),
-            vec![(PageId(0), 4), (PageId(4), 4), (PageId(8), 2)]
+            coalesce(long),
+            vec![(PageId(0), 32), (PageId(32), 32), (PageId(64), 6)]
         );
-        assert_eq!(coalesce([].into_iter(), 8), vec![]);
+        assert_eq!(coalesce([].into_iter()), vec![]);
     }
 
     #[test]
     fn solo_submit_drains_itself_one_run() {
-        let e = IoEngine::new(IoEngineConfig::enabled(), 1);
+        let e = IoEngine::new(1);
         let runs_seen = std::cell::RefCell::new(Vec::new());
         e.read_page(0, PageId(5), |runs| {
             runs_seen.borrow_mut().extend_from_slice(runs);
@@ -330,7 +293,7 @@ mod tests {
 
     #[test]
     fn concurrent_submits_complete_and_count_depth() {
-        let e = IoEngine::new(IoEngineConfig::enabled(), 1);
+        let e = IoEngine::new(1);
         let reads = AtomicU64::new(0);
         thread::scope(|s| {
             for t in 0u32..8 {
@@ -359,7 +322,7 @@ mod tests {
 
     #[test]
     fn batch_errors_fan_out_to_every_waiter() {
-        let e = IoEngine::new(IoEngineConfig::enabled(), 1);
+        let e = IoEngine::new(1);
         let err = e
             .read_page(0, PageId(0), |_| {
                 Err(crate::StoreError::PageOutOfBounds {
@@ -380,7 +343,7 @@ mod tests {
     #[test]
     fn drains_on_different_shards_do_not_serialize() {
         use std::sync::mpsc;
-        let e = IoEngine::new(IoEngineConfig::enabled(), 2);
+        let e = IoEngine::new(2);
         let (done_tx, done_rx) = mpsc::channel::<()>();
         thread::scope(|s| {
             let eng = &e;
@@ -406,7 +369,7 @@ mod tests {
     /// a max, exactly like the cluster's per-node fold.
     #[test]
     fn counters_sum_across_shard_queues() {
-        let e = IoEngine::new(IoEngineConfig::enabled(), 4);
+        let e = IoEngine::new(4);
         for shard in 0..4usize {
             for k in 0..3u32 {
                 e.read_page(shard, PageId(shard as u32 * 8 + k), |_| Ok(()))

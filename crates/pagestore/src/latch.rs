@@ -21,7 +21,7 @@
 //!   [`ThreadId`]; taken by *writers* for the whole read-modify-write of an
 //!   object (its heap page, or its entire spanned extent).
 //!
-//! Latch state lives in a per-shard side table ([`LatchTable`]), **not** in
+//! Latch state lives in a per-shard side table (`LatchTable`), **not** in
 //! the frames: a latched page may be evicted and reloaded without losing its
 //! latch. That keeps latching completely invisible to the replacement
 //! policy and to the physical I/O counters — which is what lets a one-shard,
@@ -38,7 +38,7 @@
 //!        │   (latches acquired in ascending PageId order inside a
 //!        │    shard; the shard mutex is released before crossing to
 //!        ▼    the next shard — latches persist, mutexes do not)
-//!   disk RwLock
+//!   disk mutex (taken per I/O call)
 //! ```
 //!
 //! * Group latches are acquired in **ascending (shard, page) order**, one

@@ -81,7 +81,7 @@ pub use disk::SimDisk;
 pub use error::StoreError;
 pub use heap::{HeapFile, Rid};
 pub use heat::HeatConfig;
-pub use ioengine::{IoEngineConfig, DEFAULT_MAX_BATCH_PAGES};
+pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use shared::{SharedBufferPool, SharedPoolHandle};

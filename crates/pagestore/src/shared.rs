@@ -8,23 +8,37 @@
 //! a full [`PoolCore`] — the exact frame-slot/replacement-policy/accounting
 //! engine behind [`BufferPool`] — protected by its own mutex:
 //!
-//! * a fix takes exactly **one shard lock** (plus the disk lock on a miss),
-//!   so fixes to different shards never contend;
+//! * a fix takes exactly **one shard lock** (plus the disk mutex on a
+//!   miss), so fixes to different shards never contend;
 //! * each shard runs its **own replacement policy instance** over its own
 //!   frames and keeps its own [`BufferStats`], so victim selection needs no
 //!   cross-shard coordination and per-shard load imbalance is observable
 //!   ([`SharedBufferPool::shard_stats`]);
-//! * [`SharedBufferPool::snapshot`] merges the shard counters with the
-//!   shared disk's counters, so every per-unit metric of the measurement
-//!   protocol works unchanged;
-//! * multi-shard operations (run loads, flush, cold restart) acquire shard
-//!   locks in **ascending shard order**, and the disk lock only ever after
-//!   shard locks — a total lock order, so the pool cannot deadlock.
+//! * the data disk is the same [`SimDisk`] the exclusive pool owns, behind
+//!   one mutex that each I/O call takes for its duration;
+//!   [`SharedBufferPool::snapshot`] merges the shard counters with its
+//!   counters, so every per-unit metric of the measurement protocol works
+//!   unchanged;
+//! * multi-shard operations (run loads, prefetch, flush, cold restart)
+//!   acquire shard locks in **ascending shard order**, and the disk mutex
+//!   only ever after shard locks — a total lock order, so the pool cannot
+//!   deadlock.
 //!
-//! A pool with **one shard** executes, operation for operation, the same
-//! code as [`BufferPool`]: identical eviction decisions, identical call
-//! grouping, identical counters (`tests/prop_shared_buffer.rs` proves this
-//! per-step). That is what makes a one-client run over the shared pool
+//! # One page-I/O path
+//!
+//! The pool writes no page-I/O logic of its own. Each multi-page decision
+//! — which missing pages form one read call, which victims make room in
+//! which shard, how dirty pages group into write calls — is a provided
+//! method of [`PoolCores`] in `buffer.rs`, run over the locked shard guards
+//! exactly as [`BufferPool`] runs it over its single core. Page lists
+//! become I/O calls in one place, `page_runs` (maximal contiguous runs of
+//! at most [`MAX_PAGES_PER_WRITE_CALL`](crate::MAX_PAGES_PER_WRITE_CALL)
+//! pages), which flush, WAL replay and the batched read engine share. So a
+//! pool with **one shard** runs, operation for operation, the code
+//! [`BufferPool`] runs: identical eviction decisions, identical call
+//! grouping, identical counters; with more shards the calls still group
+//! across shard boundaries (`tests/prop_shared_buffer.rs` checks both
+//! per step). That is what makes a one-client run over the shared pool
 //! reproduce the serial measurements exactly.
 //!
 //! Capacity is split across shards (`total/K` each, remainder to the lowest
@@ -52,15 +66,16 @@
 //!
 //! # Batched reads
 //!
-//! With [`IoEngineConfig::enabled`], buffer misses route through the
-//! [`crate::ioengine`] submission/completion layer: the missing fixer
-//! releases its shard mutex and parks on a completion token while a
-//! drain leader coalesces queued misses into multi-page `read_run` calls
-//! and fills the frames (shard locks held only for the install, never
-//! across the disk read). The engine mutex sits outside the lock order —
-//! it is never held while a shard mutex is acquired. Disabled (default),
-//! the miss path is the synchronous one, byte-identical in code and
-//! counters to the pre-engine pool.
+//! With [`IoEngineConfig::enabled`](crate::IoEngineConfig::enabled),
+//! buffer misses route through the `ioengine` submission/completion
+//! layer: the missing fixer releases its shard mutex and parks on a
+//! completion token while a drain leader coalesces queued misses into
+//! multi-page `read_run` calls and fills the frames with the synchronous
+//! load's make-room-then-insert step (shard locks held only for the
+//! install, never across the disk read). The engine mutex sits outside
+//! the lock order — it is never held while a shard mutex is acquired.
+//! Disabled (default), the miss path is the synchronous one,
+//! byte-identical in code and counters to the pre-engine pool.
 //!
 //! # Lock poisoning
 //!
@@ -73,152 +88,16 @@
 //! poison would turn one panicked client into a pool-wide panic storm and
 //! leave threads parked in `Condvar::wait` wedged forever.
 
-use crate::buffer::{PoolCore, MAX_PAGES_PER_WRITE_CALL};
+use crate::buffer::{page_runs, PoolCore, PoolCores};
 use crate::cache::PageCache;
-use crate::disk::DiskOps;
-use crate::heat::HeatConfig;
-use crate::ioengine::{IoEngine, IoEngineConfig};
+use crate::disk::lock_disk;
+use crate::ioengine::IoEngine;
 use crate::latch::{distinct_pids, LatchMode, LatchTable};
-use crate::stats::{BufferStats, DiskStats, IoSnapshot};
-use crate::wal::{Wal, WalConfig};
-use crate::{BufferConfig, PageId, PolicyKind, Result, StoreError, PAGE_SIZE};
+use crate::stats::{BufferStats, IoSnapshot};
+use crate::wal::Wal;
+use crate::{BufferConfig, PageId, PolicyKind, Result, SimDisk, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-
-/// The shared simulated disk: the page array behind an `RwLock` (many
-/// concurrent read calls, exclusive write calls) with atomic I/O counters.
-struct SharedDisk {
-    pages: RwLock<Vec<[u8; PAGE_SIZE]>>,
-    read_calls: AtomicU64,
-    pages_read: AtomicU64,
-    write_calls: AtomicU64,
-    pages_written: AtomicU64,
-}
-
-impl SharedDisk {
-    fn new() -> Self {
-        SharedDisk {
-            pages: RwLock::new(Vec::new()),
-            read_calls: AtomicU64::new(0),
-            pages_read: AtomicU64::new(0),
-            write_calls: AtomicU64::new(0),
-            pages_written: AtomicU64::new(0),
-        }
-    }
-
-    fn alloc_extent(&self, n: u32) -> PageId {
-        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-        let len = pages.len();
-        pages.resize(len + n as usize, [0u8; PAGE_SIZE]);
-        PageId(len as u32)
-    }
-
-    fn allocated_pages(&self) -> u32 {
-        self.pages.read().unwrap_or_else(|e| e.into_inner()).len() as u32
-    }
-
-    fn check(len: usize, first: PageId, n: u32) -> Result<()> {
-        let end = first.0 as u64 + n as u64;
-        if end > len as u64 {
-            return Err(StoreError::PageOutOfBounds {
-                page: PageId((end - 1) as u32),
-                allocated: len as u32,
-            });
-        }
-        Ok(())
-    }
-
-    fn read_run(
-        &self,
-        first: PageId,
-        n: u32,
-        sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
-    ) -> Result<()> {
-        // Zero-length runs are validated no-ops: no bounds check, no call
-        // counted (mirrors `SimDisk::read_run`).
-        if n == 0 {
-            return Ok(());
-        }
-        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.read_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_read.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            sink(i, &pages[(first.0 + i) as usize]);
-        }
-        Ok(())
-    }
-
-    fn write_run(
-        &self,
-        first: PageId,
-        n: u32,
-        source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
-    ) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            pages[(first.0 + i) as usize] = source(i);
-        }
-        Ok(())
-    }
-
-    fn write_run_noop(&self, first: PageId, n: u32) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn checksum(&self) -> u64 {
-        crate::disk::fnv1a_pages(&self.pages.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn stats(&self) -> DiskStats {
-        DiskStats {
-            read_calls: self.read_calls.load(Ordering::Relaxed),
-            pages_read: self.pages_read.load(Ordering::Relaxed),
-            write_calls: self.write_calls.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.read_calls.store(0, Ordering::Relaxed);
-        self.pages_read.store(0, Ordering::Relaxed);
-        self.write_calls.store(0, Ordering::Relaxed);
-        self.pages_written.store(0, Ordering::Relaxed);
-    }
-}
-
-impl DiskOps for &SharedDisk {
-    fn read_run_dyn(
-        &mut self,
-        first: PageId,
-        n: u32,
-        sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
-    ) -> Result<()> {
-        SharedDisk::read_run(self, first, n, sink)
-    }
-
-    fn write_run_dyn(
-        &mut self,
-        first: PageId,
-        n: u32,
-        source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
-    ) -> Result<()> {
-        SharedDisk::write_run(self, first, n, source)
-    }
-}
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One lock-striped shard: the pool engine plus its latch table, behind one
 /// mutex, with a condvar for latch-conflict waiting.
@@ -252,13 +131,18 @@ struct GateState {
 }
 
 /// A thread-safe buffer pool sharded by `PageId` hash into K lock-striped
-/// shards. See the [module docs](self) for the design and its invariants.
+/// shards, each running the exclusive [`crate::BufferPool`]'s engine and
+/// page-I/O path behind its own mutex, over one [`SimDisk`] behind a disk
+/// mutex. Lock order: writer gate → shard mutexes (ascending) → disk
+/// mutex → log mutex.
 ///
 /// All methods take `&self`; share the pool across threads through
 /// [`SharedPoolHandle`] (an `Arc` wrapper that also implements
 /// [`PageCache`], so the storage layers run over it unchanged).
 pub struct SharedBufferPool {
-    disk: SharedDisk,
+    /// The data disk: the same [`SimDisk`] the exclusive pool owns, locked
+    /// per I/O call (always after any shard mutex).
+    disk: Mutex<SimDisk>,
     shards: Vec<Shard>,
     gate: Mutex<GateState>,
     gate_cond: Condvar,
@@ -267,83 +151,61 @@ pub struct SharedBufferPool {
     gate_waits: AtomicU64,
     policy: PolicyKind,
     capacity: usize,
-    /// The write-ahead log, when durability is enabled ([`WalConfig`]).
+    /// The write-ahead log, when durability is enabled
+    /// ([`crate::WalConfig`]).
     /// `None` keeps every code path and counter byte-identical to the
     /// pre-WAL pool.
     wal: Option<Wal>,
-    /// The batched read engine, when enabled ([`IoEngineConfig`]). `None`
-    /// keeps the synchronous miss path and its counters byte-identical to
-    /// the pre-engine pool.
+    /// The batched read engine, when enabled ([`crate::IoEngineConfig`]).
+    /// `None` keeps the synchronous miss path and its counters
+    /// byte-identical to the pre-engine pool.
     engine: Option<IoEngine>,
 }
 
 impl SharedBufferPool {
-    /// Creates a pool of `capacity` total pages split over `shards` shards,
-    /// each running its own `policy` instance, with the WAL disabled.
+    /// Creates a pool of `config.pages` total pages split over `shards`
+    /// shards, each running its own `config.policy` instance and heat
+    /// tracker. `config.wal` and `config.io` switch on the write-ahead log
+    /// (every latched update is redo-logged and survives
+    /// [`Self::crash_volatile`] + [`Self::recover`]) and the batched read
+    /// engine.
     ///
-    /// `capacity` must be at least `shards` so every shard can hold a page.
-    pub fn new(capacity: usize, policy: PolicyKind, shards: usize) -> Self {
-        Self::with_wal(capacity, policy, shards, WalConfig::default())
-    }
-
-    /// Like [`Self::new`] but honoring a [`WalConfig`]: when `wal.enabled`,
-    /// every latched update is redo-logged and survives
-    /// [`Self::crash_volatile`] + [`Self::recover`].
-    pub fn with_wal(capacity: usize, policy: PolicyKind, shards: usize, wal: WalConfig) -> Self {
-        Self::with_config(capacity, policy, shards, wal, IoEngineConfig::default())
-    }
-
-    /// The full constructor: capacity, policy, shard count, WAL, and
-    /// batched-read-engine configuration.
-    pub fn with_config(
-        capacity: usize,
-        policy: PolicyKind,
-        shards: usize,
-        wal: WalConfig,
-        io: IoEngineConfig,
-    ) -> Self {
+    /// `config.pages` must be at least `shards` so every shard can hold a
+    /// page.
+    pub fn new(config: BufferConfig, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
+        let capacity = config.pages;
         assert!(
             capacity >= shards,
             "capacity ({capacity}) must be >= shard count ({shards})"
         );
-        let shard_count = shards;
-        let shards = (0..shards)
-            .map(|i| {
-                let per = capacity / shards + usize::from(i < capacity % shards);
-                Shard {
-                    state: Mutex::new(ShardState {
-                        core: PoolCore::new(per, policy),
-                        latches: LatchTable::default(),
-                    }),
-                    cond: Condvar::new(),
-                }
-            })
-            .collect();
         SharedBufferPool {
-            disk: SharedDisk::new(),
-            shards,
+            disk: Mutex::new(SimDisk::new()),
+            shards: (0..shards)
+                .map(|i| {
+                    let per = capacity / shards + usize::from(i < capacity % shards);
+                    Shard {
+                        state: Mutex::new(ShardState {
+                            core: PoolCore::new(per, config.policy, config.heat),
+                            latches: LatchTable::default(),
+                        }),
+                        cond: Condvar::new(),
+                    }
+                })
+                .collect(),
             gate: Mutex::new(GateState::default()),
             gate_cond: Condvar::new(),
             gate_waits: AtomicU64::new(0),
-            policy,
+            policy: config.policy,
             capacity,
-            wal: wal.enabled.then(|| Wal::new(wal)),
-            engine: io.enabled.then(|| IoEngine::new(io, shard_count)),
-        }
-    }
-
-    /// Installs (or disables) heat tracking on every shard, replacing any
-    /// existing tracker. Call right after construction — swapping trackers
-    /// mid-run discards the accumulated heat map.
-    pub fn set_heat(&self, heat: HeatConfig) {
-        for i in 0..self.shards.len() {
-            self.shard(i).core.set_heat(heat);
+            wal: config.wal.enabled.then(|| Wal::new(config.wal)),
+            engine: config.io.enabled.then(|| IoEngine::new(shards)),
         }
     }
 
     /// The tracked per-page heat map merged over all shards, sorted by page
-    /// id. Empty unless [`Self::set_heat`] enabled tracking. Uncounted
+    /// id. Empty unless the pool was built with [`crate::HeatConfig::track`]
+    /// on. Uncounted
     /// metadata access: no I/O, no counter changes.
     pub fn page_heat(&self) -> Vec<(PageId, u64)> {
         let mut all: Vec<(PageId, u64)> = Vec::new();
@@ -418,27 +280,33 @@ impl SharedBufferPool {
         st
     }
 
-    /// Locks every shard, in ascending order (the global lock order).
-    fn lock_all(&self) -> Vec<MutexGuard<'_, ShardState>> {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().unwrap_or_else(|e| e.into_inner()))
-            .collect()
+    /// Locks every shard, in ascending order (the global lock order). The
+    /// caller holds the writer gate, so no exclusive latch group is open.
+    fn lock_all(&self) -> ShardGuards<'_> {
+        let cores = self.lock_shards(0..self.shards.len());
+        debug_assert!(
+            cores
+                .guards
+                .iter()
+                .all(|(_, g)| g.latches.exclusive_latched() == 0),
+            "whole-pool operations require quiesced writers (the gate guarantees this)"
+        );
+        cores
     }
 
     /// Allocates `n` contiguous pages on the shared disk.
     pub fn alloc_extent(&self, n: u32) -> PageId {
-        self.disk.alloc_extent(n)
+        lock_disk(&self.disk).alloc_extent(n)
     }
 
     /// Total pages allocated on the shared disk.
     pub fn database_pages(&self) -> u32 {
-        self.disk.allocated_pages()
+        lock_disk(&self.disk).allocated_pages()
     }
 
     /// FNV-1a checksum of the shared disk's page array (uncounted).
     pub fn disk_checksum(&self) -> u64 {
-        self.disk.checksum()
+        lock_disk(&self.disk).checksum()
     }
 
     /// Fixes `pid` under its shard lock, routing misses through the
@@ -481,38 +349,28 @@ impl SharedBufferPool {
     }
 
     /// Leader-side completion fill for a drained batch: for each coalesced
-    /// run, read it from the shared disk in **one call with no shard mutex
-    /// held**, then install the frames that are still missing under their
-    /// shard locks (pages that raced into the cache keep their authoritative
-    /// frames; the freshly read image is dropped).
+    /// run, read it from the disk in **one call with no shard mutex held**,
+    /// then install the frames that are still missing under their shard
+    /// locks — the same room-then-insert step as a synchronous load (pages
+    /// that raced into the cache keep their authoritative frames; the
+    /// freshly read image is dropped).
     fn install_runs(&self, runs: &[(PageId, u32)]) -> Result<()> {
         for &(first, n) in runs {
             let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
-            self.disk
-                .read_run(first, n, &mut |_, data| images.push(*data))?;
-            let mut guards = self.lock_involved(first, n);
-            let mut missing = vec![false; n as usize];
-            let mut per_guard = vec![0usize; guards.len()];
-            for i in 0..n {
-                let pid = first.offset(i);
-                let g = guard_pos(&guards, self.shard_of(pid));
-                if !guards[g].1.core.is_cached(pid) {
-                    missing[i as usize] = true;
-                    per_guard[g] += 1;
+            lock_disk(&self.disk).read_run(first, n, |_, data| images.push(*data))?;
+            let mut cores = self.lock_involved(first, n);
+            let missing: Vec<bool> = (0..n)
+                .map(|j| {
+                    let pid = first.offset(j);
+                    !cores.core(cores.owner(pid)).is_cached(pid)
+                })
+                .collect();
+            cores.make_room_for(&mut &self.disk, first, n, |j| missing[j as usize])?;
+            for (j, data) in (0..n).zip(images) {
+                if missing[j as usize] {
+                    let pid = first.offset(j);
+                    cores.at(pid).insert_frame(pid, data);
                 }
-            }
-            for (g, &m) in per_guard.iter().enumerate() {
-                if m > 0 {
-                    guards[g].1.core.make_room(&mut &self.disk, m)?;
-                }
-            }
-            for (i, data) in images.into_iter().enumerate() {
-                if !missing[i] {
-                    continue;
-                }
-                let pid = first.offset(i as u32);
-                let g = guard_pos(&guards, self.shard_of(pid));
-                guards[g].1.core.insert_frame(pid, data);
             }
         }
         Ok(())
@@ -522,7 +380,7 @@ impl SharedBufferPool {
     /// lock; concurrent fixes to other shards proceed in parallel. Waits
     /// for a conflicting foreign exclusive latch. With the batched read
     /// engine enabled, a miss parks on a completion token instead of
-    /// reading under the shard mutex (see [`Self::fix_in_shard`]).
+    /// reading under the shard mutex.
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
         let (st, slot) = self.fix_in_shard(pid, false)?;
         Ok(f(&st.core.frame(slot).data))
@@ -739,24 +597,20 @@ impl SharedBufferPool {
     }
 
     /// Locks every shard owning a page of `[first, first+n)`, in ascending
-    /// shard order (the global lock order). Returns `(shard index, guard)`
-    /// pairs; resolve a page's guard with [`guard_pos`].
-    fn lock_involved(&self, first: PageId, n: u32) -> Vec<(usize, MutexGuard<'_, ShardState>)> {
+    /// shard order (the global lock order).
+    fn lock_involved(&self, first: PageId, n: u32) -> ShardGuards<'_> {
         let mut involved: Vec<usize> = (0..n).map(|i| self.shard_of(first.offset(i))).collect();
         involved.sort_unstable();
         involved.dedup();
-        involved
-            .into_iter()
-            .map(|s| {
-                (
-                    s,
-                    self.shards[s]
-                        .state
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()),
-                )
-            })
-            .collect()
+        self.lock_shards(involved)
+    }
+
+    /// Locks the shards `ids` (ascending) as one [`PoolCores`] set.
+    fn lock_shards(&self, ids: impl IntoIterator<Item = usize>) -> ShardGuards<'_> {
+        ShardGuards {
+            pool: self,
+            guards: ids.into_iter().map(|s| (s, self.shard(s))).collect(),
+        }
     }
 
     /// Ensures the run `[first, first+n)` is cached: one read call per
@@ -765,138 +619,33 @@ impl SharedBufferPool {
     /// shards. Does not count fixes.
     ///
     /// Every involved shard is locked up front (ascending, the lock order),
-    /// so residency is decided **coherently for the whole run**. The old
-    /// implementation probed residency one page at a time, re-locking per
-    /// page: concurrent evictions between the probe and the load could
-    /// split one maximal missing run into several disk calls, and the
-    /// touch/probe pass cost two lock acquisitions per page. Per-position
-    /// policy-event order (touch resident pages as encountered, insert
-    /// missing runs as loaded) is identical to `BufferPool::prefetch_run`,
-    /// which is what keeps a 1-shard pool counter-exact against the serial
-    /// pool.
+    /// so residency is decided **coherently for the whole run**, and the
+    /// walk itself is `PoolCores::prefetch` — the code
+    /// `BufferPool::prefetch_run` runs over its single core, which is what
+    /// keeps a 1-shard pool counter-exact against the serial pool.
     pub fn prefetch_run(&self, first: PageId, n: u32) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
-        let mut guards = self.lock_involved(first, n);
-        let mut i = 0u32;
-        while i < n {
-            let pid = first.offset(i);
-            let g = guard_pos(&guards, self.shard_of(pid));
-            if guards[g].1.core.touch(pid) {
-                i += 1;
-                continue;
-            }
-            // Extend the missing run as far as possible (coherent: nothing
-            // can race in or out while the shard locks are held).
-            let mut len = 1u32;
-            while i + len < n {
-                let q = first.offset(i + len);
-                let gq = guard_pos(&guards, self.shard_of(q));
-                if guards[gq].1.core.is_cached(q) {
-                    break;
-                }
-                len += 1;
-            }
-            self.load_missing_locked(&mut guards, first.offset(i), len)?;
-            i += len;
-        }
-        Ok(())
-    }
-
-    /// Loads the all-missing run `[sub_first, sub_first+len)` in one read
-    /// call under already-held shard guards: make room per shard (evictions
-    /// may write — the same order `BufferPool::load_run` uses), one disk
-    /// read, then install each frame in its owning shard.
-    fn load_missing_locked(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, ShardState>)],
-        sub_first: PageId,
-        len: u32,
-    ) -> Result<()> {
-        let mut per_guard = vec![0usize; guards.len()];
-        for j in 0..len {
-            per_guard[guard_pos(guards, self.shard_of(sub_first.offset(j)))] += 1;
-        }
-        for (g, &m) in per_guard.iter().enumerate() {
-            if m > 0 {
-                guards[g].1.core.make_room(&mut &self.disk, m)?;
-            }
-        }
-        let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(len as usize);
-        self.disk
-            .read_run(sub_first, len, &mut |_, data| images.push(*data))?;
-        for (j, data) in images.into_iter().enumerate() {
-            let pid = sub_first.offset(j as u32);
-            let g = guard_pos(guards, self.shard_of(pid));
-            guards[g].1.core.insert_frame(pid, data);
-        }
-        Ok(())
+        self.lock_involved(first, n)
+            .prefetch(&mut &self.disk, first, n)
     }
 
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
     /// page-pool writes during `change attribute`, §5.3).
     pub fn write_pool_pages(&self, first: PageId, n: u32) -> Result<()> {
-        self.disk.write_run_noop(first, n)
+        lock_disk(&self.disk).write_run_noop(first, n)
     }
 
     /// Writes all dirty pages back, grouped into contiguous runs of at most
-    /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call across shard boundaries —
-    /// the same grouping [`BufferPool::flush_all`](crate::BufferPool::flush_all)
-    /// produces. **Quiesces in-flight exclusive latch groups first** (the
-    /// writer gate), so a mid-update object is never flushed half-written;
+    /// [`MAX_PAGES_PER_WRITE_CALL`](crate::MAX_PAGES_PER_WRITE_CALL) pages
+    /// per call across shard boundaries — `PoolCores::flush`, the code
+    /// [`BufferPool::flush_all`](crate::BufferPool::flush_all) runs.
+    /// **Quiesces in-flight exclusive latch groups first** (the writer
+    /// gate), so a mid-update object is never flushed half-written;
     /// concurrent readers are unaffected.
     pub fn flush_all(&self) -> Result<()> {
-        self.quiesce_writers();
-        let result = {
-            let mut guards = self.lock_all();
-            self.flush_locked(&mut guards)
-        };
-        if result.is_ok() {
-            self.checkpoint_wal();
-        }
-        self.release_quiesce();
-        result
-    }
-
-    /// Checkpoints the WAL (no-op when disabled). Called only while the
-    /// writer gate is held and *after* a successful flush: every committed
-    /// image is on the data disk, so the log tail can be discarded. The
-    /// gate guarantees no latched update is mid-op; un-gated single-page
-    /// writers (the single-threaded load phase) must not race a flush.
-    fn checkpoint_wal(&self) {
-        if let Some(wal) = &self.wal {
-            wal.checkpoint();
-        }
-    }
-
-    fn flush_locked(&self, guards: &mut [MutexGuard<'_, ShardState>]) -> Result<()> {
-        debug_assert!(
-            guards.iter().all(|g| g.latches.exclusive_latched() == 0),
-            "flush requires quiesced writers (the gate guarantees this)"
-        );
-        let mut dirty: Vec<PageId> = guards.iter().flat_map(|g| g.core.dirty_pages()).collect();
-        dirty.sort_unstable();
-        {
-            let guards = &*guards;
-            flush_dirty_runs(
-                &dirty,
-                |pid| {
-                    let core = &guards[self.shard_of(pid)].core;
-                    core.slot_of(pid).map(|slot| core.frame(slot).data)
-                },
-                |start, len, images| self.disk.write_run(start, len, &mut |j| images[j as usize]),
-            )?;
-        }
-        // Clear dirty bits only after every run reached the disk; a failed
-        // flush leaves all pages dirty and therefore retryable.
-        for &pid in &dirty {
-            let core = &mut guards[self.shard_of(pid)].core;
-            if let Some(slot) = core.slot_of(pid) {
-                core.frame_mut(slot).dirty = false;
-            }
-        }
-        Ok(())
+        self.flush_quiesced(false)
     }
 
     /// Flushes and drops every cached page in every shard: a cold restart
@@ -905,19 +654,27 @@ impl SharedBufferPool {
     /// running and simply go cold (latches survive — they live beside the
     /// frames, not in them).
     pub fn clear_cache(&self) -> Result<()> {
+        self.flush_quiesced(true)
+    }
+
+    /// Flush under the writer gate and all shard locks, optionally dropping
+    /// every frame afterwards, then checkpoint the WAL (no-op when
+    /// disabled): after a successful flush every committed image is on the
+    /// data disk, so the log tail can be discarded. The gate guarantees no
+    /// latched update is mid-op; un-gated single-page writers (the
+    /// single-threaded load phase) must not race a flush.
+    fn flush_quiesced(&self, drop_frames: bool) -> Result<()> {
         self.quiesce_writers();
         let result = {
-            let mut guards = self.lock_all();
-            let r = self.flush_locked(&mut guards);
-            if r.is_ok() {
-                for g in guards.iter_mut() {
-                    g.core.drop_all();
-                }
+            let mut cores = self.lock_all();
+            let r = cores.flush(&mut &self.disk);
+            if r.is_ok() && drop_frames {
+                cores.drop_all();
             }
             r
         };
-        if result.is_ok() {
-            self.checkpoint_wal();
+        if let (Ok(()), Some(wal)) = (&result, &self.wal) {
+            wal.checkpoint();
         }
         self.release_quiesce();
         result
@@ -978,12 +735,7 @@ impl SharedBufferPool {
     /// gone.
     pub fn crash_volatile(&self) {
         self.quiesce_writers();
-        {
-            let mut guards = self.lock_all();
-            for g in guards.iter_mut() {
-                g.core.drop_all();
-            }
-        }
+        self.lock_all().drop_all();
         if let Some(wal) = &self.wal {
             wal.crash();
         }
@@ -993,8 +745,9 @@ impl SharedBufferPool {
     /// Recovery-on-open: scans the durable log tail past the last
     /// checkpoint (counted log reads), replays the final committed image
     /// of every logged page onto the data disk in contiguous runs of at
-    /// most [`MAX_PAGES_PER_WRITE_CALL`] pages (counted data writes, the
-    /// same grouping a flush produces), then checkpoints. Returns the
+    /// most [`MAX_PAGES_PER_WRITE_CALL`](crate::MAX_PAGES_PER_WRITE_CALL)
+    /// pages (counted data writes, grouped by the same run builder a flush
+    /// uses), then checkpoints. Returns the
     /// number of pages replayed. Intended for a freshly
     /// [crashed](Self::crash_volatile) (or newly opened) pool: the cache
     /// must hold no dirty pre-crash frames.
@@ -1004,21 +757,17 @@ impl SharedBufferPool {
         };
         self.quiesce_writers();
         let result = (|| {
+            // One image per page, in page order (the log keeps the last
+            // committed image of each page).
             let images = wal.recovered_images()?;
+            let pids: Vec<PageId> = images.iter().map(|im| im.0).collect();
+            let mut disk = lock_disk(&self.disk);
             let mut i = 0;
-            while i < images.len() {
-                let start = images[i].0;
-                let mut len = 1u32;
-                while i + (len as usize) < images.len()
-                    && images[i + len as usize].0 .0 == start.0 + len
-                    && len < MAX_PAGES_PER_WRITE_CALL
-                {
-                    len += 1;
-                }
-                self.disk
-                    .write_run(start, len, &mut |j| *images[i + j as usize].2)?;
-                i += len as usize;
+            for (first, n) in page_runs(&pids) {
+                disk.write_run(first, n, |j| *images[i + j as usize].2)?;
+                i += n as usize;
             }
+            drop(disk);
             wal.checkpoint();
             Ok(images.len())
         })();
@@ -1033,7 +782,10 @@ impl SharedBufferPool {
     /// they stay zero and the snapshot is byte-identical to the pre-WAL
     /// pool's.
     pub fn snapshot(&self) -> IoSnapshot {
-        let mut s = IoSnapshot::combine(self.disk.stats(), self.buffer_stats());
+        // Read the disk counters into a local first: a guard still alive
+        // while `buffer_stats` locks the shards would invert the lock order.
+        let disk = lock_disk(&self.disk).stats();
+        let mut s = IoSnapshot::combine(disk, self.buffer_stats());
         if let Some(wal) = &self.wal {
             let w = wal.stats();
             s.log_write_calls = w.log_write_calls;
@@ -1096,7 +848,7 @@ impl SharedBufferPool {
 
     /// Resets disk, shard, and WAL counters (cache and log content kept).
     pub fn reset_stats(&self) {
-        self.disk.reset_stats();
+        lock_disk(&self.disk).reset_stats();
         self.gate_waits.store(0, Ordering::Relaxed);
         for i in 0..self.shards.len() {
             self.shard(i).core.stats = BufferStats::default();
@@ -1115,48 +867,43 @@ impl SharedBufferPool {
     }
 }
 
-/// Position of shard `s` in a [`SharedBufferPool::lock_involved`] guard
-/// list (the caller locked it, so the lookup cannot fail).
-fn guard_pos(guards: &[(usize, MutexGuard<'_, ShardState>)], s: usize) -> usize {
-    guards.iter().position(|(i, _)| *i == s).expect("locked")
+/// Locked shards as a [`PoolCores`] set: `(shard index, guard)` pairs in
+/// ascending shard order, so the pool's page-I/O path runs over them
+/// exactly as it runs over `BufferPool`'s single core.
+struct ShardGuards<'a> {
+    pool: &'a SharedBufferPool,
+    guards: Vec<(usize, MutexGuard<'a, ShardState>)>,
 }
 
-/// Groups `dirty` (sorted ascending, deduplicated) into contiguous runs of
-/// at most [`MAX_PAGES_PER_WRITE_CALL`] pages and hands each run's
-/// pre-collected images to `write`.
-///
-/// `image` returning `None` for a page the dirty list named is a
-/// bookkeeping invariant violation (a dirty page must be resident); it
-/// surfaces as [`StoreError::DirtyNotResident`] *before* any byte of that
-/// run is written. This used to be a process-aborting
-/// `expect("dirty page resident")` inside the write-call source closure —
-/// unreachable through the pool's public API (the dirty list is derived
-/// from the frames under the same locks), but defended here as an error so
-/// a future bookkeeping bug reports instead of aborting mid-flush.
-fn flush_dirty_runs(
-    dirty: &[PageId],
-    mut image: impl FnMut(PageId) -> Option<[u8; PAGE_SIZE]>,
-    mut write: impl FnMut(PageId, u32, &[[u8; PAGE_SIZE]]) -> Result<()>,
-) -> Result<()> {
-    let mut i = 0;
-    while i < dirty.len() {
-        let start = dirty[i];
-        let mut len = 1u32;
-        while i + (len as usize) < dirty.len()
-            && dirty[i + len as usize].0 == start.0 + len
-            && len < MAX_PAGES_PER_WRITE_CALL
-        {
-            len += 1;
+impl ShardGuards<'_> {
+    /// Drops every cached frame of the locked shards without writing.
+    fn drop_all(&mut self) {
+        for (_, g) in &mut self.guards {
+            g.core.drop_all();
         }
-        let mut images = Vec::with_capacity(len as usize);
-        for j in 0..len {
-            let pid = start.offset(j);
-            images.push(image(pid).ok_or(StoreError::DirtyNotResident { page: pid })?);
-        }
-        write(start, len, &images)?;
-        i += len as usize;
     }
-    Ok(())
+}
+
+impl PoolCores for ShardGuards<'_> {
+    fn count(&self) -> usize {
+        self.guards.len()
+    }
+
+    fn owner(&self, pid: PageId) -> usize {
+        let s = self.pool.shard_of(pid);
+        self.guards
+            .iter()
+            .position(|&(i, _)| i == s)
+            .expect("owning shard locked")
+    }
+
+    fn core(&self, c: usize) -> &PoolCore {
+        &self.guards[c].1.core
+    }
+
+    fn core_mut(&mut self, c: usize) -> &mut PoolCore {
+        &mut self.guards[c].1.core
+    }
 }
 
 /// A cloneable handle to a [`SharedBufferPool`].
@@ -1171,19 +918,10 @@ pub struct SharedPoolHandle {
 }
 
 impl SharedPoolHandle {
-    /// Builds a fresh shared pool from a buffer configuration (including
-    /// its [`WalConfig`] and [`IoEngineConfig`]) and a shard count.
+    /// Builds a fresh shared pool with [`SharedBufferPool::new`].
     pub fn new(config: BufferConfig, shards: usize) -> Self {
-        let pool = SharedBufferPool::with_config(
-            config.pages,
-            config.policy,
-            shards,
-            config.wal,
-            config.io,
-        );
-        pool.set_heat(config.heat);
         SharedPoolHandle {
-            pool: Arc::new(pool),
+            pool: Arc::new(SharedBufferPool::new(config, shards)),
         }
     }
 
@@ -1290,10 +1028,11 @@ impl PageCache for SharedPoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FsyncMode, IoEngineConfig, StoreError, WalConfig, MAX_PAGES_PER_WRITE_CALL};
     use std::thread;
 
     fn pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::new(cap, PolicyKind::Lru, shards);
+        let p = SharedBufferPool::new(BufferConfig::with_pages(cap), shards);
         p.alloc_extent(pages);
         p
     }
@@ -1316,7 +1055,7 @@ mod tests {
 
     #[test]
     fn capacity_splits_with_remainder_to_low_shards() {
-        let p = SharedBufferPool::new(10, PolicyKind::Lru, 4);
+        let p = SharedBufferPool::new(BufferConfig::with_pages(10), 4);
         let caps: Vec<usize> = p.shard_occupancy().iter().map(|&(_, c)| c).collect();
         assert_eq!(caps, vec![3, 3, 2, 2]);
         assert_eq!(p.capacity(), 10);
@@ -1465,7 +1204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn capacity_below_shards_is_rejected() {
-        SharedBufferPool::new(2, PolicyKind::Lru, 4);
+        SharedBufferPool::new(BufferConfig::with_pages(2), 4);
     }
 
     #[test]
@@ -1629,43 +1368,54 @@ mod tests {
 
     /// Regression: a dirty page whose frame is missing at flush time used
     /// to hit `expect("dirty page resident")` *inside* the disk write-call
-    /// source closure, aborting the process. The run planner now reports
+    /// source closure, aborting the process. The write-back now reports
     /// `DirtyNotResident` before writing a byte of the affected run.
     #[test]
     fn flush_with_nonresident_dirty_page_errors_instead_of_panicking() {
+        let p = pool(3, 12, 4);
+        p.with_page_mut(PageId(0), |b| b[0] = 1).unwrap();
+        p.with_page_mut(PageId(2), |b| b[0] = 1).unwrap();
+        p.reset_stats();
+        // A dirty list naming page 1, which no shard holds.
         let dirty = [PageId(0), PageId(1), PageId(2)];
-        let mut written = 0u32;
-        let err = flush_dirty_runs(
-            &dirty,
-            |pid| (pid != PageId(1)).then_some([0u8; PAGE_SIZE]),
-            |_, len, _| {
-                written += len;
-                Ok(())
-            },
-        )
-        .unwrap_err();
+        let err = p.lock_all().write_back(&mut &p.disk, &dirty).unwrap_err();
         assert_eq!(err, StoreError::DirtyNotResident { page: PageId(1) });
-        assert_eq!(written, 0, "no byte of the broken run was written");
+        assert_eq!(
+            p.snapshot().pages_written,
+            0,
+            "no byte of the broken run was written"
+        );
         // The healthy path still groups into MAX_PAGES_PER_WRITE_CALL runs.
         let many: Vec<PageId> = (0..MAX_PAGES_PER_WRITE_CALL + 3).map(PageId).collect();
-        let mut calls = Vec::new();
-        flush_dirty_runs(
-            &many,
-            |_| Some([0u8; PAGE_SIZE]),
-            |start, len, images| {
-                assert_eq!(images.len(), len as usize);
-                calls.push((start, len));
-                Ok(())
-            },
-        )
-        .unwrap();
         assert_eq!(
-            calls,
+            page_runs(&many).collect::<Vec<_>>(),
             vec![
                 (PageId(0), MAX_PAGES_PER_WRITE_CALL),
                 (PageId(MAX_PAGES_PER_WRITE_CALL), 3)
             ]
         );
+    }
+
+    /// WAL replay writes the recovered images back in the runs a flush
+    /// would use: 35 contiguous pages plus one isolated page are three data
+    /// write calls (32 + 3 + 1) carrying 36 pages.
+    #[test]
+    fn recovery_groups_replayed_pages_into_capped_runs() {
+        let p = wal_pool(2, 64, 48);
+        for i in (0..35).chain([40]) {
+            p.with_page_mut(PageId(i), |b| b[0] = i as u8 + 1).unwrap();
+        }
+        p.log_commit().unwrap();
+        p.crash_volatile();
+        p.reset_stats();
+        assert_eq!(p.recover().unwrap(), 36);
+        let s = p.snapshot();
+        assert_eq!(s.write_calls, 3, "runs of 32, 3 and 1 pages");
+        assert_eq!(s.pages_written, 36);
+        for i in (0..35).chain([40]) {
+            p.with_page(PageId(i), |b| assert_eq!(b[0], i as u8 + 1))
+                .unwrap();
+        }
     }
 
     /// Regression: poisoned shard/gate mutexes used to cascade — one
@@ -1694,12 +1444,9 @@ mod tests {
     }
 
     fn engine_pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::with_config(
-            cap,
-            PolicyKind::Lru,
+        let p = SharedBufferPool::new(
+            BufferConfig::with_pages(cap).io(IoEngineConfig::enabled()),
             shards,
-            WalConfig::default(),
-            IoEngineConfig::enabled(),
         );
         p.alloc_extent(pages);
         p
@@ -1778,11 +1525,9 @@ mod tests {
     }
 
     fn wal_pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::with_wal(
-            cap,
-            PolicyKind::Lru,
+        let p = SharedBufferPool::new(
+            BufferConfig::with_pages(cap).wal(WalConfig::enabled(FsyncMode::PerCommit)),
             shards,
-            WalConfig::enabled(crate::wal::FsyncMode::PerCommit),
         );
         p.alloc_extent(pages);
         p
@@ -1852,11 +1597,9 @@ mod tests {
 
     #[test]
     fn group_commit_pool_survives_concurrent_writer_crash() {
-        let p = SharedBufferPool::with_wal(
-            32,
-            PolicyKind::Lru,
+        let p = SharedBufferPool::new(
+            BufferConfig::with_pages(32).wal(WalConfig::enabled(FsyncMode::Group)),
             4,
-            WalConfig::enabled(crate::wal::FsyncMode::Group),
         );
         let first = p.alloc_extent(32);
         thread::scope(|s| {

@@ -21,7 +21,9 @@
 //!   latch counters now included — after every operation.
 
 use proptest::prelude::*;
-use starfish_pagestore::{BufferPool, LatchMode, PageId, PolicyKind, SharedBufferPool, SimDisk};
+use starfish_pagestore::{
+    BufferConfig, BufferPool, LatchMode, PageId, PolicyKind, SharedBufferPool, SimDisk,
+};
 use std::collections::HashMap;
 
 const DB_PAGES: u32 = 24;
@@ -65,7 +67,7 @@ fn distinct(pages: &[u32]) -> u64 {
 }
 
 fn fresh_shared(kind: PolicyKind, cap: usize, shards: usize) -> SharedBufferPool {
-    let p = SharedBufferPool::new(cap, kind, shards);
+    let p = SharedBufferPool::new(BufferConfig::with_pages(cap).policy(kind), shards);
     p.alloc_extent(DB_PAGES);
     p
 }

@@ -13,10 +13,14 @@
 //! * flush-then-reread returns exactly the bytes written;
 //! * and — the keystone — a **one-shard pool replays the identical
 //!   counters as `BufferPool`** after every single operation: the shared
-//!   pool is the same engine behind locks, not a reimplementation.
+//!   pool is the same engine behind locks, not a reimplementation;
+//! * with room for every page in every shard (nothing is evicted), a
+//!   **2–4-shard pool issues the same read and write calls as
+//!   `BufferPool`**: run reads and flush writes group across shard
+//!   boundaries exactly as they do over one core.
 
 use proptest::prelude::*;
-use starfish_pagestore::{BufferPool, PageId, PolicyKind, SharedBufferPool, SimDisk};
+use starfish_pagestore::{BufferConfig, BufferPool, PageId, PolicyKind, SharedBufferPool, SimDisk};
 use std::collections::HashMap;
 
 const DB_PAGES: u32 = 24;
@@ -55,8 +59,31 @@ fn arb_fix_op() -> impl Strategy<Value = PoolOp> {
     ]
 }
 
+/// Ops that touch disk grouping without needing eviction: page writes,
+/// multi-page prefetch runs, flushes and cold restarts.
+fn arb_grouping_op() -> impl Strategy<Value = PoolOp> {
+    prop_oneof![
+        ((0u32..DB_PAGES), any::<u8>()).prop_map(|(p, v)| PoolOp::Write(p, v)),
+        ((0u32..DB_PAGES), (1u32..12)).prop_map(|(p, n)| PoolOp::Prefetch(p, n)),
+        Just(PoolOp::Flush),
+        Just(PoolOp::ClearCache),
+    ]
+}
+
+/// Replays a grouping op on the exclusive pool (content is checked on the
+/// shared side by [`apply`]).
+fn apply_serial(pool: &mut BufferPool, op: &PoolOp) {
+    match *op {
+        PoolOp::Write(p, v) => pool.with_page_mut(PageId(p), |b| b[40] = v).unwrap(),
+        PoolOp::Prefetch(p, n) => pool.prefetch_run(PageId(p), n.min(DB_PAGES - p)).unwrap(),
+        PoolOp::Flush => pool.flush_all().unwrap(),
+        PoolOp::ClearCache => pool.clear_cache().unwrap(),
+        PoolOp::Read(_) | PoolOp::ResetStats => unreachable!("not a grouping op"),
+    }
+}
+
 fn fresh_shared(kind: PolicyKind, cap: usize, shards: usize) -> SharedBufferPool {
-    let p = SharedBufferPool::new(cap, kind, shards);
+    let p = SharedBufferPool::new(BufferConfig::with_pages(cap).policy(kind), shards);
     p.alloc_extent(DB_PAGES);
     p
 }
@@ -241,6 +268,36 @@ proptest! {
                 );
                 prop_assert_eq!(shared.cached_pages(), serial.cached_pages(), "{}", kind);
             }
+        }
+    }
+
+    /// Call grouping across shards: with room for every page in every
+    /// shard (capacity `DB_PAGES × K`, so no eviction), a 2–4-shard pool
+    /// issues exactly `BufferPool`'s read and write calls. A run read or a
+    /// flush whose pages hash to several shards must still be one call per
+    /// contiguous run.
+    #[test]
+    fn multi_shard_pool_groups_calls_like_buffer_pool(
+        shards in 2usize..5,
+        ops in proptest::collection::vec(arb_grouping_op(), 1..120),
+    ) {
+        let kind = PolicyKind::Lru;
+        let cap = DB_PAGES as usize * shards;
+        let shared = fresh_shared(kind, cap, shards);
+        let mut disk = SimDisk::new();
+        disk.alloc_extent(DB_PAGES);
+        let mut serial = BufferPool::with_policy(disk, cap, kind);
+        let mut model: HashMap<u32, u8> = HashMap::new();
+        for op in &ops {
+            apply(&shared, op, &mut model, kind);
+            apply_serial(&mut serial, op);
+            let (a, b) = (shared.snapshot(), serial.snapshot());
+            prop_assert_eq!(
+                (a.read_calls, a.pages_read, a.write_calls, a.pages_written),
+                (b.read_calls, b.pages_read, b.write_calls, b.pages_written),
+                "{} shards diverged from BufferPool after {:?}", shards, op
+            );
+            prop_assert_eq!(shared.buffer_stats().evictions, 0, "room for every page");
         }
     }
 }

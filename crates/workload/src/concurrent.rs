@@ -145,8 +145,9 @@ impl QueryRunner {
     }
 
     /// Runs `query` under the measurement protocol with `threads` client
-    /// threads sharing `store`. See the [module docs](self) for the
-    /// execution model and its invariants.
+    /// threads sharing `store`: the query's built-in [`WorkloadSpec`] run
+    /// through [`crate::Executor::run_concurrent`], whose answers, total
+    /// fixes and post-flush disk bytes do not depend on `threads`.
     pub fn run_concurrent(
         &self,
         store: &mut dyn ConcurrentObjectStore,

@@ -1141,11 +1141,11 @@ impl Executor {
     }
 
     /// Runs `spec` with `threads` client threads sharing `store` under the
-    /// measurement protocol. See the [module docs](self) for the execution
-    /// model. Top-level loop iterations are dealt to threads whole — scans,
-    /// key selections and nested loops included; the only rejected shape is
-    /// a loop whose body consumes the previous iteration's selection before
-    /// establishing its own ([`CoreError::Unsupported`]).
+    /// measurement protocol. Top-level loop iterations are dealt to threads
+    /// whole — scans, key selections and nested loops included; the only
+    /// rejected shape is a loop whose body consumes the previous
+    /// iteration's selection before establishing its own
+    /// ([`CoreError::Unsupported`]).
     pub fn run_concurrent(
         &self,
         store: &mut dyn ConcurrentObjectStore,
